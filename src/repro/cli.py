@@ -723,7 +723,7 @@ def _add_engine_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--engine", default=None, choices=ENGINE_NAMES,
                      dest="solve_engine",
                      help="average-reward solve engine: 'exact' "
-                          "(LU-backed policy iteration, the default) "
+                          "(policy iteration, the default) "
                           "or 'approx' (prioritized asynchronous VI "
                           "with certified a-posteriori bounds; only "
                           "models above the size threshold take the "

@@ -425,9 +425,9 @@ def _reward_variant(entry: _StructureEntry, config: AttackConfig) -> MDP:
               transition=base.transition, rewards=rewards,
               available=base.available, start=base.start, validate=False)
     # Share the reward-independent performance caches: the Bellman
-    # stack as-is, the evaluation cache through a structure view (LU
-    # factorizations and stationary distributions carry over, reward
-    # memos start empty).
+    # stack as-is, the evaluation cache through a structure view (the
+    # structure certificate, per-policy evaluation artifacts and
+    # stationary distributions carry over, reward memos start empty).
     mdp._kernel = base.kernel()
     mdp._eval_cache = base.eval_cache().structure_view(mdp)
     return mdp

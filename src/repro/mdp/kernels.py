@@ -16,29 +16,43 @@ library.  Two observations drive it:
    (``rows = policy * N + arange(N)``) instead of a
    ``diags(mask) @ P_a`` product per action.
 
-2. **One LU factorization serves every evaluation of a policy.**  The
-   average-reward evaluation system
+2. **Attack MDPs need no factorization at all.**  Cut the start state
+   (drop every transition *into* it) and drop self-loops: what is left
+   of the union graph of every action's transitions is a DAG on the
+   paper's attack MDPs.  :func:`structure_certificate` checks this
+   once per transition structure and returns the DAG's topological
+   levels.  Under a certified model every policy's chain is a renewal
+   process that restarts at ``start``, and the average-reward
+   evaluation system
 
    .. code-block:: text
 
        A = [ I - P_pi   1 ]        A [h; g] = [r_pi; 0]
            [ e_start^T  0 ]
 
-   depends only on the *policy*, not on the reward, so its sparse LU
-   factorization can be reused across the dozens of transformed rewards
-   that a Dinkelbach/bisection ratio solve evaluates.  Better still, the
-   stationary distribution of ``P_pi`` is the solution of the
-   *transposed* system with right-hand side ``e_{n}`` (writing
-   ``A^T [y; c] = e_n`` gives ``(I - P_pi)^T y = -c e_start`` and
-   ``sum(y) = 1``; multiplying the first block by the all-ones vector
-   forces ``c = 0`` because ``(I - P_pi) 1 = 0`` for a row-stochastic
-   ``P_pi``, hence ``y`` *is* the stationary distribution).  SuperLU
-   solves transposed systems from the same factorization, so gain, bias,
-   stationary distribution and every per-channel rate of a policy cost
-   one factorization total.
+   is solved by one level-by-level back-substitution with two
+   right-hand sides: ``a`` (expected reward until the next visit to
+   ``start``) and ``b`` (expected steps until then), each self-loop
+   divided out in closed form by ``1 - p_ss``.  The gain is expected
+   cycle reward over expected cycle length, ``g = a[start] /
+   b[start]``, and the bias is ``h = a - g b`` (zero at ``start``).
+   The stationary distribution is one forward pass over the same
+   levels -- expected visits per cycle over cycle length.  A non-start
+   state with ``1 - p_ss <= 0`` is absorbing, so the policy is
+   multichain and the evaluation raises
+   :class:`~repro.errors.SolverError`, as the LU does.
 
-:class:`PolicyEvalCache` memoizes both facts per policy (keyed by
-``policy.tobytes()``) on behalf of
+   Models without a certificate (a cycle survives the start cut, as in
+   the selfish-mining baselines and random test models) fall back to a
+   sparse LU of ``A`` (COLAMD ordering): it depends only on the policy,
+   so one factorization serves every transformed reward, and the
+   stationary distribution is the transposed solve with right-hand
+   side ``e_n`` (``A^T [y; c] = e_n`` forces ``c = 0`` because
+   ``(I - P_pi) 1 = 0``, so ``y`` is the stationary distribution).
+
+:class:`PolicyEvalCache` memoizes the per-policy preparation (the
+level split or the LU) and its results, keyed by
+``policy.tobytes()``, on behalf of
 :func:`repro.mdp.policy_iteration.evaluate_policy` and
 :func:`repro.mdp.stationary.policy_gains`; see ``docs/performance.md``
 for the cache-key and invalidation rules.
@@ -48,7 +62,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -56,7 +70,7 @@ from scipy.sparse import linalg as sla
 
 from repro.errors import MDPError, SolverError
 from repro.mdp import backends
-from repro.runtime.telemetry import counter_add
+from repro.runtime.telemetry import counter_add, span
 
 #: Per-policy memo size for (reward -> gain/bias) results; Dinkelbach
 #: revisits at most a handful of transformed rewards per policy.
@@ -175,12 +189,219 @@ def greedy_policy_from_q(q: np.ndarray) -> np.ndarray:
     return np.asarray(q.argmax(axis=0), dtype=int)
 
 
+class StructureCertificate(NamedTuple):
+    """Topological levels of an MDP's start-cut union graph.
+
+    The graph has an edge ``s -> t`` when some action moves ``s`` to
+    ``t`` with ``t != s`` and ``t != start``.  ``order`` lists the
+    states level by level: level 0 holds the states with no such edge,
+    and every edge leaves a state for a strictly lower level.  Level
+    ``k`` occupies ``order[bounds[k]:bounds[k + 1]]``; ``rank`` is the
+    inverse permutation (a state's position in ``order``).
+
+    The Bellman stack is kept split the same way: ``cut`` holds the
+    graph's edges with their probabilities (columns relabeled to
+    positions), and ``loop`` / ``to_start`` the self-loop and
+    into-start probability of every stack row.
+    """
+
+    start: int
+    order: np.ndarray
+    rank: np.ndarray
+    bounds: np.ndarray
+    cut: sparse.csr_matrix
+    loop: np.ndarray
+    to_start: np.ndarray
+
+    @property
+    def n_levels(self) -> int:
+        return len(self.bounds) - 1
+
+
+def structure_certificate(kernel: BellmanKernel,
+                          start: int) -> Optional[StructureCertificate]:
+    """The :class:`StructureCertificate` of ``kernel``'s transition
+    structure, or ``None`` when a cycle survives the start cut.
+
+    Timed as the ``kernel/structure`` span; the outcome is counted as
+    ``kernel/structure/dag`` or ``kernel/structure/cyclic``.
+    """
+    n = kernel.n_states
+    with span("kernel/structure"):
+        stack = kernel.stack
+        n_rows = stack.shape[0]
+        row_of = np.repeat(np.arange(n_rows), np.diff(stack.indptr))
+        dst = stack.indices
+        into_start = dst == start
+        loop = (dst == row_of % n) & ~into_start
+        edge = ~(into_start | loop) & (stack.data != 0)
+        levels = _topological_levels(row_of[edge] % n, dst[edge], n)
+        if levels is None:
+            counter_add("kernel/structure/cyclic")
+            return None
+        counter_add("kernel/structure/dag")
+        order = np.concatenate(levels)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(n)
+        bounds = np.zeros(len(levels) + 1, dtype=np.intp)
+        np.cumsum([level.size for level in levels], out=bounds[1:])
+        indptr = np.zeros_like(stack.indptr)
+        np.cumsum(np.bincount(row_of[edge], minlength=n_rows),
+                  out=indptr[1:])
+        cut = sparse.csr_matrix(
+            (stack.data[edge], rank[dst[edge]], indptr),
+            shape=stack.shape)
+
+        def row_sums(mask: np.ndarray) -> np.ndarray:
+            # (An empty weighted bincount comes back as int64.)
+            return np.bincount(row_of[mask], stack.data[mask],
+                               minlength=n_rows).astype(float)
+
+        return StructureCertificate(int(start), order, rank, bounds, cut,
+                                    row_sums(loop), row_sums(into_start))
+
+
+def _topological_levels(src: np.ndarray, dst: np.ndarray,
+                        n: int) -> Optional[list]:
+    """Kahn's algorithm on the reversed graph of the edges
+    ``src -> dst``, one vectorized step per level: level 0 is the
+    states without successors.  ``None`` when a cycle leaves states
+    unplaced."""
+    # Row t lists the predecessors of t (duplicate edges merged).
+    preds = sparse.csr_matrix(
+        (np.ones(src.size, dtype=bool), (dst, src)), shape=(n, n))
+    remaining = np.bincount(preds.indices, minlength=n)
+    frontier = np.flatnonzero(remaining == 0)
+    levels = []
+    while frontier.size:
+        levels.append(frontier)
+        parents, hits = np.unique(preds[frontier].indices,
+                                  return_counts=True)
+        remaining[parents] -= hits
+        frontier = parents[remaining[parents] == 0]
+    if sum(level.size for level in levels) < n:
+        return None
+    return levels
+
+
+class LevelSystem:
+    """One policy's transition matrix in certificate order, split for
+    renewal solves: the start column (``to_start``), the self-loops
+    (through ``divisor = 1 - p_ss``) and the remaining transitions,
+    which only lead to lower levels.  Rows may be scaled first
+    (``row_scale``; PTO's survival probabilities).  The start row's
+    divisor is 1: its self-loop is part of the start column.
+
+    Raises :class:`~repro.errors.SolverError` when a non-start state
+    keeps all its mass (``divisor <= 0``): the policy is multichain.
+    """
+
+    __slots__ = ("cert", "pos_start", "to_start", "divisor", "_off",
+                 "_blocks", "_blocks_t")
+
+    def __init__(self, kernel: BellmanKernel, cert: StructureCertificate,
+                 policy: np.ndarray,
+                 row_scale: Optional[np.ndarray] = None) -> None:
+        self.cert = cert
+        self.pos_start = int(cert.rank[cert.start])
+        rows = kernel.policy_rows(policy)[cert.order]
+        off = cert.cut[rows]
+        loop = cert.loop[rows]
+        self.to_start = cert.to_start[rows]
+        if row_scale is not None:
+            scale = row_scale[cert.order]
+            off.data *= np.repeat(scale, np.diff(off.indptr))
+            loop *= scale
+            self.to_start *= scale
+        self.divisor = 1.0 - loop
+        self.divisor[self.pos_start] = 1.0
+        if not (self.divisor > 0.0).all():
+            state = int(cert.order[np.argmin(self.divisor > 0.0)])
+            raise SolverError(
+                f"policy evaluation failed: state {state} is absorbing "
+                "under the evaluated policy (1 - p_ss <= 0); the policy "
+                "is multichain")
+        self._off = off
+        self._blocks = _level_blocks(off, cert.bounds)
+        self._blocks_t: Optional[list] = None
+
+    def back(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``x = (rhs + off @ x) / divisor`` level by level from
+        level 0 up (``rhs`` and ``x`` in certificate order)."""
+        return _substitute(rhs, self.divisor, self._blocks)
+
+    def forward(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``x = (rhs + off.T @ x) / divisor`` from the top level
+        down (the transposed system: expected visits per cycle)."""
+        if self._blocks_t is None:
+            self._blocks_t = _level_blocks(self._off.T.tocsr(),
+                                           self.cert.bounds)[::-1]
+        return _substitute(rhs, self.divisor, self._blocks_t)
+
+    def pinned(self, rewards: np.ndarray) -> np.ndarray:
+        """Solve ``(I - M) V = rewards`` for the (row-scaled) policy
+        matrix ``M``, every cycle of which passes ``start``; ``rewards``
+        is ``(N, m)`` in state order.  Cut at start, ``V = a +
+        V[start] c`` with ``c`` solving for the start column as the
+        right-hand side, and ``V[start] = a[start] / (1 - c[start])``.
+        """
+        order = self.cert.order
+        x = self.back(np.column_stack([rewards[order], self.to_start]))
+        keep_mass = 1.0 - x[self.pos_start, -1]
+        if not keep_mass > 0.0:
+            raise SolverError(
+                "evaluation system is singular: the policy returns to "
+                "the start state with probability 1 and never stops")
+        v_start = x[self.pos_start, :-1] / keep_mass
+        values = x[:, :-1] + np.outer(x[:, -1], v_start)
+        return values[self.cert.rank]
+
+
+def _level_blocks(matrix: sparse.csr_matrix, bounds: np.ndarray) -> list:
+    """Per level ``(lo, hi, block)``: the level's rows ``lo:hi`` of
+    ``matrix`` as a CSR block sharing its arrays, or ``None`` when the
+    level has no entries."""
+    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
+    n = matrix.shape[1]
+    blocks = []
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        e0, e1 = indptr[lo], indptr[hi]
+        block = None
+        if e1 > e0:
+            block = sparse.csr_matrix(
+                (data[e0:e1], indices[e0:e1], indptr[lo:hi + 1] - e0),
+                shape=(hi - lo, n), copy=False)
+        blocks.append((lo, hi, block))
+    return blocks
+
+
+def _substitute(rhs: np.ndarray, divisor: np.ndarray,
+                blocks: list) -> np.ndarray:
+    """Solve ``x = (rhs + M @ x) / divisor`` visiting the level blocks
+    of ``M`` in list order; each block only reads levels visited before
+    it (its entries elsewhere are absent, so unfilled ``x`` is never
+    read)."""
+    x = np.zeros_like(rhs)
+    if rhs.ndim == 2:
+        divisor = divisor[:, None]
+    for lo, hi, block in blocks:
+        if block is None:
+            x[lo:hi] = rhs[lo:hi] / divisor[lo:hi]
+        else:
+            x[lo:hi] = (rhs[lo:hi] + block @ x) / divisor[lo:hi]
+    return x
+
+
 @dataclass
 class EvalCacheStats:
     """Hit/miss counters of a :class:`PolicyEvalCache`.
 
-    ``factorizations`` counts actual sparse LU factorizations -- the
-    expensive operation the cache exists to avoid.
+    ``factorizations`` counts per-policy preparations -- the expensive
+    operation the cache exists to avoid: a level split on a certified
+    model, a sparse LU factorization otherwise.  ``lu_fallbacks``
+    counts the preparations that were LU factorizations, and
+    ``substitutions`` the renewal solves (one back- or forward pass
+    over the levels each).
     """
 
     policy_hits: int = 0
@@ -192,6 +413,8 @@ class EvalCacheStats:
     stationary_hits: int = 0
     stationary_misses: int = 0
     factorizations: int = 0
+    lu_fallbacks: int = 0
+    substitutions: int = 0
 
     def bump(self, name: str, value: int = 1) -> None:
         """Increment one counter, mirroring it into the telemetry
@@ -205,20 +428,38 @@ class EvalCacheStats:
 
 
 class _PolicyStructure:
-    """Reward-independent artifacts of one policy: the induced matrix,
-    its evaluation-system LU factorization and the stationary
-    distribution.  Shareable between MDPs that differ only in reward
-    channels."""
+    """Reward-independent artifacts of one policy: its renewal level
+    system (certified models) or evaluation-system LU factorization
+    (the fallback), and the stationary distribution.  Shareable between
+    MDPs that differ only in reward channels."""
 
-    __slots__ = ("policy", "p_pi", "start", "_lu", "_pi")
+    __slots__ = ("policy", "kernel", "cert", "start", "_system", "_lu",
+                 "_p_pi", "_pi")
 
-    def __init__(self, policy: np.ndarray, p_pi: sparse.csr_matrix,
-                 start: int) -> None:
+    def __init__(self, policy: np.ndarray, kernel: BellmanKernel,
+                 cert: Optional[StructureCertificate], start: int) -> None:
         self.policy = policy
-        self.p_pi = p_pi
+        self.kernel = kernel
+        self.cert = cert
         self.start = start
+        self._system: Optional[LevelSystem] = None
         self._lu = None
+        self._p_pi: Optional[sparse.csr_matrix] = None
         self._pi: Optional[np.ndarray] = None
+
+    @property
+    def p_pi(self) -> sparse.csr_matrix:
+        """The policy-induced transition matrix (built on first use)."""
+        if self._p_pi is None:
+            self._p_pi = self.kernel.policy_matrix(self.policy)
+        return self._p_pi
+
+    def system(self, stats: EvalCacheStats) -> LevelSystem:
+        if self._system is None:
+            self._system = LevelSystem(self.kernel, self.cert,
+                                       self.policy)
+            stats.bump("factorizations")
+        return self._system
 
     def lu(self, stats: EvalCacheStats):
         if self._lu is None:
@@ -240,33 +481,54 @@ class _PolicyStructure:
                 raise SolverError(
                     f"policy evaluation failed: {exc}") from exc
             stats.bump("factorizations")
+            stats.bump("lu_fallbacks")
         return self._lu
 
     def gain_bias(self, r_pi: np.ndarray,
                   stats: EvalCacheStats) -> Tuple[float, np.ndarray]:
-        n = self.p_pi.shape[0]
-        rhs = np.concatenate([r_pi, [0.0]])
-        solution = self.lu(stats).solve(rhs)
-        if not np.all(np.isfinite(solution)):
+        if self.cert is not None:
+            system = self.system(stats)
+            rhs = np.column_stack([r_pi[self.cert.order],
+                                   np.ones(r_pi.size)])
+            x = system.back(rhs)
+            stats.bump("substitutions")
+            cycle_reward, cycle_length = x[system.pos_start]
+            gain = cycle_reward / cycle_length
+            bias = x[:, 0] - gain * x[:, 1]
+            bias[system.pos_start] = 0.0
+            bias = bias[self.cert.rank]
+        else:
+            n = r_pi.size
+            solution = self.lu(stats).solve(np.concatenate([r_pi, [0.0]]))
+            gain, bias = solution[n], solution[:n]
+        if not (np.isfinite(gain) and np.all(np.isfinite(bias))):
             raise SolverError(
                 "policy evaluation produced non-finite values; the policy "
                 "is likely multichain (start state unreachable)")
-        return float(solution[n]), solution[:n]
+        return float(gain), bias
 
     def stationary(self, stats: EvalCacheStats) -> np.ndarray:
         if self._pi is None:
             stats.bump("stationary_misses")
-            n = self.p_pi.shape[0]
-            rhs = np.zeros(n + 1)
-            rhs[n] = 1.0
-            solution = self.lu(stats).solve(rhs, trans="T")
+            n = self.kernel.n_states
+            if self.cert is not None:
+                system = self.system(stats)
+                rhs = np.zeros(n)
+                rhs[system.pos_start] = 1.0
+                visits = system.forward(rhs)
+                stats.bump("substitutions")
+                candidate = visits[self.cert.rank]
+            else:
+                rhs = np.zeros(n + 1)
+                rhs[n] = 1.0
+                candidate = self.lu(stats).solve(rhs, trans="T")[:n]
             # Verify the residual of the normalized solution: an LU of
             # a (near-)singular evaluation system -- a multichain
             # policy -- can return finite garbage that `isfinite`
             # alone would accept.
             from repro.mdp.stationary import _check_stationary_residual
             self._pi = _check_stationary_residual(
-                solution[:n], self.p_pi,
+                candidate, self.p_pi,
                 f"policy stationary (start={self.start})")
         else:
             stats.bump("stationary_hits")
@@ -291,13 +553,18 @@ class PolicyEvalCache:
     """Per-MDP memoization of policy evaluations, keyed by
     ``policy.tobytes()``.
 
+    Cached once per transition structure: the
+    :class:`StructureCertificate` (or ``None``), which picks every
+    policy's evaluation path.
+
     Cached per policy:
 
-    - the induced transition matrix ``P_pi`` (row-sliced off the
-      Bellman stack) and the LU factorization of the average-reward
-      evaluation system -- *reward-independent*;
-    - the stationary distribution (one transposed triangular solve on
-      the same factorization) -- *reward-independent*;
+    - the policy's renewal level system on a certified model, else the
+      LU factorization of the average-reward evaluation system --
+      *reward-independent*;
+    - the stationary distribution (one forward pass over the levels,
+      or one transposed triangular solve on the factorization) --
+      *reward-independent*;
     - per-channel gains ``pi . r_pi`` and (gain, bias) pairs per
       transformed reward -- *reward-dependent*, dropped by
       :meth:`invalidate_rewards`.
@@ -306,14 +573,24 @@ class PolicyEvalCache:
     the combined ``(A, N)`` array, which is what makes Dinkelbach's
     re-evaluation of the incumbent policy at the converged ``rho`` (and
     the final ``policy_gains`` reporting pass) hit instead of
-    re-factorizing.
+    re-preparing.
     """
 
     def __init__(self, mdp, max_policies: int = POLICY_CACHE_SIZE) -> None:
         self._mdp = mdp
         self._max = int(max_policies)
         self._entries: "OrderedDict[bytes, _PolicyEntry]" = OrderedDict()
+        # One-slot holder shared with every structure view, so the
+        # certificate is computed once whichever cache asks first.
+        self._cert: list = []
         self.stats = EvalCacheStats()
+
+    def certificate(self) -> Optional[StructureCertificate]:
+        """The MDP's structure certificate (computed on first use)."""
+        if not self._cert:
+            self._cert.append(structure_certificate(self._mdp.kernel(),
+                                                    self._mdp.start))
+        return self._cert[0]
 
     # -- entry management ---------------------------------------------
 
@@ -326,9 +603,10 @@ class PolicyEvalCache:
             self._entries.move_to_end(key)
             return entry
         self.stats.bump("policy_misses")
-        p_pi = self._mdp.kernel().policy_matrix(policy)
-        entry = _PolicyEntry(_PolicyStructure(policy.copy(), p_pi,
-                                              self._mdp.start))
+        kernel = self._mdp.kernel()
+        kernel.policy_rows(policy)  # validate before caching
+        entry = _PolicyEntry(_PolicyStructure(
+            policy.copy(), kernel, self.certificate(), self._mdp.start))
         self._entries[key] = entry
         while len(self._entries) > self._max:
             self._entries.popitem(last=False)
@@ -392,8 +670,8 @@ class PolicyEvalCache:
     def invalidate_rewards(self) -> None:
         """Drop every reward-dependent memo (channel gains and
         transformed-reward evaluations) while keeping the expensive
-        reward-independent structure (``P_pi``, LU factorizations,
-        stationary distributions).
+        reward-independent structure (level systems, LU
+        factorizations, stationary distributions).
 
         Call this if an MDP's reward channels are replaced in place;
         the reward-channel rebuild path of
@@ -411,9 +689,11 @@ class PolicyEvalCache:
 
     def structure_view(self, mdp) -> "PolicyEvalCache":
         """A new cache for ``mdp`` (same transition structure,
-        different reward channels) that shares this cache's per-policy
-        structure artifacts but starts with empty reward memos."""
+        different reward channels) that shares this cache's structure
+        certificate and per-policy structure artifacts but starts with
+        empty reward memos."""
         view = PolicyEvalCache(mdp, max_policies=self._max)
+        view._cert = self._cert
         for key, entry in self._entries.items():
             view._entries[key] = _PolicyEntry(entry.structure)
         return view

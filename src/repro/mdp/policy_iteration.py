@@ -61,10 +61,11 @@ def evaluate_policy(mdp: MDP, policy: np.ndarray,
     start state.  Assumes the policy is unichain.
 
     The solve runs through the MDP's
-    :class:`~repro.mdp.kernels.PolicyEvalCache`: the system's LU
-    factorization depends only on the policy, so re-evaluating the same
-    policy under a different (e.g. Dinkelbach-transformed) reward costs
-    two triangular solves instead of a fresh factorization.
+    :class:`~repro.mdp.kernels.PolicyEvalCache`: the per-policy
+    preparation (renewal level split, or the LU fallback's
+    factorization) depends only on the policy, so re-evaluating the
+    same policy under a different (e.g. Dinkelbach-transformed) reward
+    costs one substitution instead of a fresh preparation.
     """
     policy = np.asarray(policy, dtype=int)
     return mdp.eval_cache().evaluate(policy, reward)

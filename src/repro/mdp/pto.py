@@ -19,21 +19,27 @@ evaluation system of a policy,
     (I - Gamma_pi P_pi) V = r_pi,
 
 does **not** depend on ``rho`` -- only on the policy and ``eps``.  One
-sparse LU factorization per policy therefore serves *both* reward
-channels (``V_num``, ``V_den``), and the PT value of the policy at any
-``rho`` is the linear combination ``V_num - rho * V_den``.  The outer
-loop is a Dinkelbach-style root finder on the PT optimal value
-``Phi(rho)`` (piecewise linear, convex, decreasing): run Howard policy
-improvement on the terminated problem at fixed ``rho``, then update
-``rho <- V_num(start) / V_den(start)``.  Because evaluations are cached
-per policy, an outer round whose optimal policy did not change costs
-one cache hit and a single Q-backup -- **zero** average-reward solves
-and zero new factorizations.  The small ``O(eps)`` bias only affects
-which policy wins near exact ties; the returned value is de-biased by
-evaluating the final policy's exact channel gains.
+solve per policy therefore serves *both* reward channels (``V_num``,
+``V_den``), and the PT value of the policy at any ``rho`` is the linear
+combination ``V_num - rho * V_den``.  On a model with a structure
+certificate (:func:`repro.mdp.kernels.structure_certificate`) that
+solve is a back-substitution cut at the start state: ``V = a +
+V_start c``, with ``V_start`` from one scalar equation; other models
+fall back to a sparse LU of the system.
+
+The outer loop is a Dinkelbach-style root finder on the PT optimal
+value ``Phi(rho)`` (piecewise linear, convex, decreasing): run Howard
+policy improvement on the terminated problem at fixed ``rho``, then
+update ``rho <- V_num(start) / V_den(start)``.  Because evaluations
+are cached per policy, an outer round whose optimal policy did not
+change costs one cache hit and a single Q-backup -- **zero**
+average-reward solves and zero new evaluations.  The small ``O(eps)``
+bias only affects which policy wins near exact ties; the returned
+value is de-biased by evaluating the final policy's exact channel
+gains.
 
 Counters: ``solver/ratio/pto/rounds`` (outer updates),
-``solver/ratio/pto/transformed_solves`` (PT factorizations, each
+``solver/ratio/pto/transformed_solves`` (PT evaluations, each
 solving both channels) and ``solver/ratio/pto/warm_start_hits``
 (evaluations served from the per-solve policy cache).
 """
@@ -48,7 +54,7 @@ from scipy import sparse
 from scipy.sparse import linalg as sla
 
 from repro.errors import SolverDivergedError, SolverError, SolverInputError
-from repro.mdp.kernels import note_q_backups, q_backup
+from repro.mdp.kernels import LevelSystem, note_q_backups, q_backup
 from repro.mdp.model import MDP
 from repro.mdp.ratio import DEN_FLOOR, RatioSolution
 from repro.mdp.stationary import policy_gains
@@ -127,7 +133,7 @@ def solve_pto(mdp: MDP, num: Mapping[str, float],
     n = mdp.n_states
     rows = np.arange(n)
     kernel = mdp.kernel()
-    identity = sparse.identity(n, format="csr")
+    cert = mdp.eval_cache().certificate()
 
     if initial_policy is not None:
         policy = np.asarray(initial_policy, dtype=int).copy()
@@ -138,7 +144,7 @@ def solve_pto(mdp: MDP, num: Mapping[str, float],
         policy = np.asarray(mdp.available.argmax(axis=0), dtype=int)
 
     # Per-policy PT evaluations, keyed by the policy bytes.  The
-    # factorization is rho-independent, so a policy revisited at a new
+    # evaluation is rho-independent, so a policy revisited at a new
     # rho is a pure cache hit -- this is where cross-iteration
     # warm-starting turns outer rounds nearly free.
     evaluations = {}
@@ -151,16 +157,24 @@ def solve_pto(mdp: MDP, num: Mapping[str, float],
         if hit is not None:
             counter_add("solver/ratio/pto/warm_start_hits")
             return hit
-        p_pi = kernel.policy_matrix(pol)
         g_pi = gamma[pol, rows]
-        system = sparse.csc_matrix(identity - p_pi.multiply(g_pi[:, None]))
         try:
-            lu = sla.splu(system, permc_spec="COLAMD")
-            v_num = lu.solve(r_num[pol, rows])
-            v_den = lu.solve(r_den[pol, rows])
-        except RuntimeError as exc:
-            # SuperLU raises on an exactly singular factor: the policy
-            # has a recurrent class with zero denominator (survival 1).
+            if cert is not None:
+                values = LevelSystem(kernel, cert, pol, g_pi).pinned(
+                    np.column_stack([r_num[pol, rows], r_den[pol, rows]]))
+                v_num, v_den = values[:, 0], values[:, 1]
+            else:
+                system = sparse.csc_matrix(
+                    sparse.identity(n, format="csr")
+                    - kernel.policy_matrix(pol).multiply(g_pi[:, None]))
+                lu = sla.splu(system, permc_spec="COLAMD")
+                v_num = lu.solve(r_num[pol, rows])
+                v_den = lu.solve(r_den[pol, rows])
+        except (RuntimeError, SolverError) as exc:
+            # SuperLU raises on an exactly singular factor, the renewal
+            # solve on a state or cycle that never terminates: the
+            # policy has a recurrent class with zero denominator
+            # (survival 1).
             raise SolverError(
                 "PT evaluation system is singular -- the current "
                 "policy accrues no denominator reward in some "
@@ -236,8 +250,8 @@ def solve_pto(mdp: MDP, num: Mapping[str, float],
 
     # De-bias: the PT fixed point carries an O(eps) offset, but the
     # *policy* it selects is exact outside O(eps)-sized ties; report
-    # that policy's exact average-reward ratio (one cached LU via the
-    # shared PolicyEvalCache).
+    # that policy's exact average-reward ratio (one cached evaluation
+    # via the shared PolicyEvalCache).
     gains = policy_gains(mdp, policy, set(num) | set(den))
     g_num = float(sum(w * gains[c] for c, w in num.items()))
     g_den = float(sum(w * gains[c] for c, w in den.items()))

@@ -23,7 +23,7 @@ Three methods are provided:
 - **PTO** (:mod:`repro.mdp.pto`): the probabilistic-termination
   reduction of Bar-Zur, Eyal & Tamar -- the transformed problems
   become *terminated* total-reward problems whose policy evaluations
-  are independent of ``rho``, so one factorization per distinct policy
+  are independent of ``rho``, so one evaluation per distinct policy
   serves every outer iteration.  Falls back to bisection on the same
   degeneracies as Dinkelbach (zero-denominator policies make the
   terminated system singular).
@@ -150,7 +150,7 @@ class RatioSolution:
     transformed_solves:
         Number of transformed-problem solves actually paid for:
         average-reward solves for Dinkelbach/bisection, terminated
-        policy evaluations (sparse LU factorizations) for PTO.  This is
+        policy evaluations (one per distinct policy) for PTO.  This is
         the quantity the ``ratio-methods`` benchmark gates.
     """
 

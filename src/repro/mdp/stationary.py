@@ -173,10 +173,10 @@ def policy_gains(mdp: MDP, policy: np.ndarray,
 
     Runs through the MDP's
     :class:`~repro.mdp.kernels.PolicyEvalCache`: the stationary
-    distribution is one transposed triangular solve on the policy's
-    cached evaluation-system factorization, and per-channel gains are
-    memoized so a ratio solve's repeated queries near convergence stop
-    re-solving.
+    distribution is one forward pass over the policy's cached renewal
+    levels (or one transposed solve on its LU fallback), and
+    per-channel gains are memoized so a ratio solve's repeated queries
+    near convergence stop re-solving.
     """
     policy = np.asarray(policy, dtype=int)
     return mdp.eval_cache().channel_gains(policy, channels)

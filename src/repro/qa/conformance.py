@@ -9,6 +9,13 @@ tolerance, producing a per-(check, instance-class) matrix.  Checks:
 ``vi``                    discounted value iteration vs exact
                           discounted policy iteration
 ``pi``                    Howard policy iteration gain vs exact gain
+``renewal``               cached policy evaluation (gain, bias and
+                          stationary distribution of the exact optimal
+                          policy) vs exact; a model that is a DAG after
+                          the start cut must be evaluated by renewal
+                          substitution and a cyclic one must take the
+                          counted LU fallback (no silent switch either
+                          way)
 ``rvi``                   relative value iteration gain vs exact gain
 ``lp``                    occupation-measure LP gain vs exact gain
 ``ratio-dinkelbach``      Dinkelbach ratio solve vs exact fixed point
@@ -45,10 +52,13 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from repro.errors import ReproError
 from repro.mdp.approx import ApproxSolution, approx_average_reward
 from repro.mdp.average_reward import relative_value_iteration
+from repro.mdp.kernels import PolicyEvalCache
 from repro.mdp.linear_programming import lp_average_reward
 from repro.mdp.policy_iteration import policy_iteration
 from repro.mdp.ratio import maximize_ratio
@@ -56,8 +66,10 @@ from repro.mdp.simulate import rollout_batch
 from repro.mdp.value_iteration import value_iteration
 from repro.qa.exact import (
     exact_discounted_solve,
+    exact_gain_bias,
     exact_policy_iteration,
     exact_ratio,
+    exact_stationary,
 )
 from repro.qa.generators import (
     INSTANCE_CLASSES,
@@ -72,7 +84,7 @@ from repro.qa.generators import (
 from repro.runtime.telemetry import counter_add, span
 
 #: All conformance checks, in display order.
-CHECKS = ("vi", "pi", "rvi", "lp", "ratio-dinkelbach",
+CHECKS = ("vi", "pi", "renewal", "rvi", "lp", "ratio-dinkelbach",
           "ratio-bisection", "ratio-pto", "approx", "mc",
           "meta-shift", "meta-scale", "meta-permute", "meta-dup")
 
@@ -82,6 +94,7 @@ CHECKS = ("vi", "pi", "rvi", "lp", "ratio-dinkelbach",
 TOLERANCES: Dict[str, float] = {
     "vi": 1e-6,
     "pi": 1e-9,
+    "renewal": 1e-9,
     "rvi": 1e-6,
     "lp": 1e-6,
     "ratio-dinkelbach": 1e-6,
@@ -155,6 +168,53 @@ def _check_pi(inst: QAInstance) -> Tuple[float, float, str]:
     sol = policy_iteration(inst.mdp, reward)
     return (_rel_err(sol.gain, gain_exact), TOLERANCES["pi"],
             f"{sol.iterations} improvements")
+
+
+def _cut_graph_is_dag(mdp) -> bool:
+    """Whether the union transition graph without edges into the start
+    state and without self-loops is acyclic: every strongly connected
+    component is a single state.  An oracle independent of the
+    certificate's own topological sort."""
+    union = sparse.coo_matrix(sum(mdp.transition))
+    keep = ((union.row != union.col) & (union.col != mdp.start)
+            & (union.data != 0))
+    graph = sparse.csr_matrix(
+        (union.data[keep], (union.row[keep], union.col[keep])),
+        shape=union.shape)
+    n_components, _ = csgraph.connected_components(
+        graph, directed=True, connection="strong")
+    return n_components == mdp.n_states
+
+
+def _check_renewal(inst: QAInstance) -> Tuple[float, float, str]:
+    mdp = inst.mdp
+    _, policy = _exact_gain(inst)
+    gain_exact, bias_exact = exact_gain_bias(mdp, policy, "num")
+    pi_exact = exact_stationary(mdp.policy_matrix(policy),
+                                start=mdp.start)
+    cache = PolicyEvalCache(mdp)
+    gain, bias = cache.evaluate(policy, mdp.combined_reward(inst.num))
+    pi = cache.stationary(policy)
+    bias_ref = np.array([float(v) for v in bias_exact])
+    err = max(_rel_err(gain, float(gain_exact)),
+              float(np.abs(bias - bias_ref).max())
+              / max(1.0, float(np.abs(bias_ref).max())),
+              float(np.abs(pi - np.array([float(v) for v in pi_exact]))
+                    .max()))
+    cert = cache.certificate()
+    lu = cache.stats.lu_fallbacks
+    if _cut_graph_is_dag(mdp):
+        if cert is None or lu:
+            return (float("inf"), TOLERANCES["renewal"],
+                    f"DAG model fell back to LU ({lu} factorizations)")
+        return (err, TOLERANCES["renewal"],
+                f"renewal: {cert.n_levels} levels, "
+                f"{cache.stats.substitutions} substitutions")
+    if cert is not None or lu != 1:
+        return (float("inf"), TOLERANCES["renewal"],
+                f"cyclic model skipped the counted LU fallback "
+                f"(lu_fallbacks={lu})")
+    return err, TOLERANCES["renewal"], "LU fallback (cyclic)"
 
 
 def _check_rvi(inst: QAInstance) -> Tuple[float, float, str]:
@@ -282,6 +342,7 @@ def _check_meta_dup(inst: QAInstance) -> Tuple[float, float, str]:
 _CHECK_FNS: Dict[str, Callable[[QAInstance], Tuple[float, float, str]]] = {
     "vi": _check_vi,
     "pi": _check_pi,
+    "renewal": _check_renewal,
     "rvi": _check_rvi,
     "lp": _check_lp,
     "ratio-dinkelbach": lambda i: _check_ratio(i, "dinkelbach"),

@@ -14,6 +14,10 @@ failure mode of the float solvers:
   (the scale-blind ratio acceptance bug) and denominator floors.
 - ``duplicate-action`` -- an action duplicated under a second name; any
   tie-break or indexing slip changes the answer.
+- ``renewal-dag``  -- every transition moves to a higher-numbered
+  state, stays put (a self-loop) or returns to the start state, so the
+  graph is a DAG once the start state is cut: the structure of the
+  attack MDPs, evaluated by back-substitution instead of an LU.
 - ``multichain``   -- two recurrent classes (plus an optional
   transient start); the stationary system is singular, which a solver
   must *report*, not round through.
@@ -43,7 +47,7 @@ from repro.mdp.model import MDP
 #: assume unichain models, and the class exists to pin the singular
 #: stationary-solve regression in targeted tests).
 INSTANCE_CLASSES = ("unichain", "periodic", "near-degenerate",
-                    "wide-scale", "duplicate-action")
+                    "wide-scale", "duplicate-action", "renewal-dag")
 
 #: Denominator of the dyadic probability grid.
 _PROB_GRID = 64
@@ -214,6 +218,28 @@ def _make_duplicate_action(seed: int) -> QAInstance:
                       with_duplicate_action(mdp, "a0"))
 
 
+def _make_renewal_dag(seed: int) -> QAInstance:
+    """Forward moves, self-loops and returns to the start state only:
+    a DAG after the start cut, with at least 1/4 return mass per row
+    (so at most 3/4 self-loop mass)."""
+    rng = np.random.default_rng(seed + 7006)
+    n_states, n_actions = 6, 2
+    b = MDPBuilder(actions=[f"a{i}" for i in range(n_actions)],
+                   channels=["num", "den"])
+    for s in range(n_states):
+        # Target 0 is the start state (the start's own self-loop).
+        targets = [0] + list(range(max(s, 1), n_states))
+        for a in range(n_actions):
+            probs = _dyadic_probs(rng, len(targets))
+            num = _dyadic_reward(rng)
+            den = _dyadic_reward(rng, _PROB_GRID // 2,
+                                 3 * _PROB_GRID // 2)
+            for t, p in zip(targets, probs):
+                if p > 0:
+                    b.add(s, f"a{a}", t, float(p), num=num, den=den)
+    return QAInstance("renewal-dag", seed, b.build(start=0))
+
+
 def _make_multichain(seed: int) -> QAInstance:
     """Two disjoint recurrent classes; chains induced by any policy
     are reducible, so global stationary systems are singular."""
@@ -237,6 +263,7 @@ _MAKERS = {
     "near-degenerate": _make_near_degenerate,
     "wide-scale": _make_wide_scale,
     "duplicate-action": _make_duplicate_action,
+    "renewal-dag": _make_renewal_dag,
     "multichain": _make_multichain,
 }
 

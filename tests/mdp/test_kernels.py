@@ -217,3 +217,168 @@ def test_structure_view_shares_factorizations():
     assert view.stats.eval_misses == 1
     ref_gain, _ = dense_gain_bias(mdp, policy, reward)
     assert gain == pytest.approx(ref_gain, abs=1e-10)
+
+
+# -- renewal evaluation on certified models ---------------------------
+
+def lu_reference(mdp: MDP, policy: np.ndarray, reward: np.ndarray):
+    """Gain, bias and stationary distribution from a sparse LU of the
+    average-reward evaluation system (the fallback path's method)."""
+    from scipy.sparse import linalg as sla
+    n = mdp.n_states
+    p_pi = mdp.policy_matrix(policy)
+    top = sparse.hstack([sparse.identity(n) - p_pi, np.ones((n, 1))])
+    pin = sparse.csr_matrix(([1.0], ([0], [mdp.start])), shape=(1, n + 1))
+    lu = sla.splu(sparse.vstack([top, pin], format="csc"))
+    r_pi = reward[policy, np.arange(n)]
+    solution = lu.solve(np.concatenate([r_pi, [0.0]]))
+    unit = np.zeros(n + 1)
+    unit[n] = 1.0
+    pi = lu.solve(unit, trans="T")[:n]
+    return solution[n], solution[:n], pi / pi.sum()
+
+
+def absorbing_mdp() -> MDP:
+    """Action ``stay`` makes state 1 absorbing; ``back`` returns."""
+    b = MDPBuilder(actions=["stay", "back"], channels=["r"])
+    b.add(0, "stay", 1, 1.0, r=1.0)
+    b.add(0, "back", 1, 1.0, r=1.0)
+    b.add(1, "stay", 1, 1.0, r=2.0)
+    b.add(1, "back", 0, 1.0)
+    return b.build(start=0)
+
+
+def test_absorbing_non_start_state_raises_solver_error():
+    from repro.errors import SolverError
+    mdp = absorbing_mdp()
+    cache = mdp.eval_cache()
+    assert cache.certificate() is not None
+    reward = mdp.combined_reward({"r": 1.0})
+    with pytest.raises(SolverError, match="absorbing"):
+        cache.evaluate(np.array([0, 0]), reward)
+    with pytest.raises(SolverError, match="absorbing"):
+        cache.stationary(np.array([0, 0]))
+    gain, bias = cache.evaluate(np.array([0, 1]), reward)
+    assert gain == 0.5
+    assert bias.tolist() == [0.0, -0.5]
+    assert cache.stats.lu_fallbacks == 0
+
+
+def test_deterministic_ring_gets_exact_gain():
+    rewards = [1.0, 0.0, 0.5, 0.25, 0.25]
+    n = len(rewards)
+    b = MDPBuilder(actions=["next"], channels=["r"])
+    for s, r in enumerate(rewards):
+        b.add(s, "next", (s + 1) % n, 1.0, r=r)
+    mdp = b.build(start=0)
+    cache = mdp.eval_cache()
+    cert = cache.certificate()
+    assert cert is not None and cert.n_levels == n
+    policy = np.zeros(n, dtype=int)
+    gain, bias = cache.evaluate(policy, mdp.combined_reward({"r": 1.0}))
+    assert gain == sum(rewards) / n
+    # h(s) = sum of (r_k - g) from s to the end of the ring.
+    expected = [0.0] + [sum(r - gain for r in rewards[s:])
+                        for s in range(1, n)]
+    np.testing.assert_allclose(bias, expected, atol=1e-15)
+    np.testing.assert_array_equal(cache.stationary(policy),
+                                  np.full(n, 1.0 / n))
+    assert cache.stats.lu_fallbacks == 0
+    assert cache.stats.substitutions == 2
+
+
+def test_cyclic_model_counts_the_lu_fallback():
+    rng = np.random.default_rng(13)
+    mdp = random_unichain_mdp(rng)
+    cache = mdp.eval_cache()
+    assert cache.certificate() is None
+    policy = np.zeros(mdp.n_states, dtype=int)
+    cache.evaluate(policy, mdp.combined_reward({"r": 1.0}))
+    cache.stationary(policy)
+    assert cache.stats.factorizations == cache.stats.lu_fallbacks == 1
+    assert cache.stats.substitutions == 0
+
+
+def _attack_cells():
+    from repro.core.config import AttackConfig
+    cells = [AttackConfig.from_ratio(alpha, ratio, setting=1)
+             for alpha, ratio in ((0.10, (1, 1)), (0.25, (2, 3)),
+                                  (0.40, (1, 1)))]
+    cells.append(AttackConfig.from_ratio(0.25, (1, 1), setting=2, ad=4))
+    return cells
+
+
+@pytest.mark.parametrize("config", _attack_cells(),
+                         ids=lambda c: f"s{c.setting}-ad{c.ad}-"
+                                       f"{c.alpha:g}")
+def test_renewal_matches_lu_on_attack_cells(config):
+    from repro.core.attack_mdp import build_attack_mdp
+    from repro.core.solve import solve_relative_revenue
+    mdp = build_attack_mdp(config, cache=False)
+    solution = solve_relative_revenue(config, mdp=mdp)
+    optimal = solution.policy.action_indices
+    first = np.asarray(mdp.available.argmax(axis=0), dtype=int)
+    reward = mdp.combined_reward({"alice": 1.0, "others": -0.3})
+    cache = PolicyEvalCache(mdp)
+    assert cache.certificate() is not None
+    for policy in (optimal, first):
+        gain, bias = cache.evaluate(policy, reward)
+        pi = cache.stationary(policy)
+        ref_gain, ref_bias, ref_pi = lu_reference(mdp, policy, reward)
+        assert abs(gain - ref_gain) <= 1e-12 * max(1.0, abs(ref_gain))
+        assert np.abs(bias - ref_bias).max() <= \
+            1e-12 * max(1.0, np.abs(ref_bias).max())
+        assert np.abs(pi - ref_pi).max() <= 1e-12 * ref_pi.max()
+    assert cache.stats.lu_fallbacks == 0
+
+
+def test_pt_values_match_direct_solve():
+    """PTO's start-cut solve of ``(I - Gamma P) V = r`` equals a sparse
+    direct solve of the same system."""
+    from scipy.sparse import linalg as sla
+    from repro.core.attack_mdp import build_attack_mdp
+    from repro.core.config import AttackConfig
+    from repro.mdp.kernels import LevelSystem
+    mdp = build_attack_mdp(AttackConfig.from_ratio(0.25, (2, 3)),
+                           cache=False)
+    n = mdp.n_states
+    rng = np.random.default_rng(14)
+    policy = np.asarray(mdp.available.argmax(axis=0), dtype=int)
+    gamma = 1.0 - rng.uniform(0.0, 0.1, size=n)
+    rewards = rng.normal(size=(n, 2))
+    system = LevelSystem(mdp.kernel(), mdp.eval_cache().certificate(),
+                         policy, gamma)
+    values = system.pinned(rewards)
+    matrix = sparse.identity(n) - mdp.policy_matrix(policy).multiply(
+        gamma[:, None])
+    direct = sla.spsolve(sparse.csc_matrix(matrix), rewards)
+    np.testing.assert_allclose(values, direct, rtol=1e-12, atol=1e-12)
+
+
+def test_structure_view_shares_the_certificate():
+    """Two reward variants of one transition structure compute the
+    structure certificate once, whichever is solved first."""
+    from dataclasses import replace
+    from repro.core.attack_mdp import build_attack_mdp, \
+        clear_attack_mdp_cache
+    from repro.core.config import AttackConfig
+    from repro.core.solve import solve_relative_revenue
+    from repro.runtime import telemetry
+    config = AttackConfig.from_ratio(0.25, (1, 1), setting=1)
+    variant_config = replace(config, rds=2.0)
+    clear_attack_mdp_cache()
+    tracer = telemetry.enable_tracing()
+    try:
+        base = build_attack_mdp(config)
+        variant = build_attack_mdp(variant_config)
+        solve_relative_revenue(variant_config, mdp=variant)
+        solve_relative_revenue(config, mdp=base)
+    finally:
+        telemetry.disable_tracing()
+        clear_attack_mdp_cache()
+    assert tracer.counters["kernel/structure/dag"] == 1
+    assert "kernel/structure/cyclic" not in tracer.counters
+    assert variant.eval_cache().certificate() is \
+        base.eval_cache().certificate()
+    assert sum(1 for e in tracer.events if e.get("type") == "span"
+               and e["name"] == "kernel/structure") == 1

@@ -183,3 +183,28 @@ def test_dinkelbach_fallback_is_a_failure(monkeypatch):
     assert not cell.passed
     assert "fell back" in cell.detail
     assert np.isinf(cell.error)
+
+
+def test_renewal_check_takes_the_certified_path_on_dag_classes():
+    for cls in ("renewal-dag", "periodic"):
+        cell = run_cell(cls, 0, "renewal")
+        assert cell.passed, (cls, cell.error, cell.detail)
+        assert cell.detail.startswith("renewal:"), cell.detail
+
+
+def test_renewal_check_shows_the_lu_fallback_on_cyclic_classes():
+    cell = run_cell("unichain", 0, "renewal")
+    assert cell.passed, (cell.error, cell.detail)
+    assert cell.detail == "LU fallback (cyclic)"
+
+
+def test_renewal_silent_fallback_is_a_failure(monkeypatch):
+    """A DAG model evaluated by LU (the certificate lost) must fail the
+    renewal cell rather than pass on the fallback's accuracy."""
+    from repro.mdp import kernels
+    monkeypatch.setattr(kernels, "structure_certificate",
+                        lambda kernel, start: None)
+    cell = run_cell("renewal-dag", 0, "renewal")
+    assert not cell.passed
+    assert "fell back to LU" in cell.detail
+    assert np.isinf(cell.error)
