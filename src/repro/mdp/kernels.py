@@ -42,6 +42,13 @@ library.  Two observations drive it:
    multichain and the evaluation raises
    :class:`~repro.errors.SolverError`, as the LU does.
 
+   At 30k states the arithmetic of a pass is small next to fixed
+   per-call costs, so the certificate's Kahn loop runs on raw CSR
+   arrays, a policy keeps one level-ordered CSR matrix (no per-level
+   objects) whose level row ranges go straight to scipy's CSR matvec
+   routine, and long reductions use :func:`dot` rather than a
+   threaded BLAS ``ddot``.
+
    Models without a certificate (a cycle survives the start cut, as in
    the selfish-mining baselines and random test models) fall back to a
    sparse LU of ``A`` (COLAMD ordering): it depends only on the policy,
@@ -60,12 +67,14 @@ for the cache-key and invalidation rules.
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 from scipy.sparse import linalg as sla
 
 from repro.errors import MDPError, SolverError
@@ -189,6 +198,15 @@ def greedy_policy_from_q(q: np.ndarray) -> np.ndarray:
     return np.asarray(q.argmax(axis=0), dtype=int)
 
 
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of two 1-D arrays, summed by numpy's own einsum
+    loop instead of BLAS ``ddot``.  A threaded OpenBLAS ``ddot`` on a
+    30k-element vector can stall for milliseconds per call (see
+    ``docs/performance.md``); ``tests/mdp/test_no_blas_dot.py`` keeps
+    BLAS dots out of the solver and model modules."""
+    return float(np.einsum("i,i->", a, b))
+
+
 class StructureCertificate(NamedTuple):
     """Topological levels of an MDP's start-cut union graph.
 
@@ -264,18 +282,25 @@ def structure_certificate(kernel: BellmanKernel,
 def _topological_levels(src: np.ndarray, dst: np.ndarray,
                         n: int) -> Optional[list]:
     """Kahn's algorithm on the reversed graph of the edges
-    ``src -> dst``, one vectorized step per level: level 0 is the
-    states without successors.  ``None`` when a cycle leaves states
-    unplaced."""
-    # Row t lists the predecessors of t (duplicate edges merged).
-    preds = sparse.csr_matrix(
+    ``src -> dst``, one vectorized step per level on raw CSR arrays:
+    level 0 is the states without successors, and every level is
+    sorted.  ``None`` when a cycle leaves states unplaced."""
+    # preds[indptr[t]:indptr[t + 1]] are the predecessors of t
+    # (duplicate edges merged).
+    matrix = sparse.csr_matrix(
         (np.ones(src.size, dtype=bool), (dst, src)), shape=(n, n))
-    remaining = np.bincount(preds.indices, minlength=n)
+    indptr, preds = matrix.indptr, matrix.indices
+    remaining = np.bincount(preds, minlength=n)
     frontier = np.flatnonzero(remaining == 0)
     levels = []
     while frontier.size:
         levels.append(frontier)
-        parents, hits = np.unique(preds[frontier].indices,
+        # Concatenate the frontier's predecessor ranges: entry j of
+        # range i sits at starts[i] + j.
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        shift = np.repeat(starts + counts - np.cumsum(counts), counts)
+        parents, hits = np.unique(preds[shift + np.arange(shift.size)],
                                   return_counts=True)
         remaining[parents] -= hits
         frontier = parents[remaining[parents] == 0]
@@ -292,51 +317,64 @@ class LevelSystem:
     (``row_scale``; PTO's survival probabilities).  The start row's
     divisor is 1: its self-loop is part of the start column.
 
+    The remaining transitions are kept as one level-ordered CSR matrix
+    (and its transpose, built on the first forward pass); the passes
+    walk slices of its arrays, so preparing a policy builds no
+    per-level objects.  Preparation is timed as the
+    ``kernel/renewal/prepare`` span, every pass as
+    ``kernel/renewal/pass``.
+
     Raises :class:`~repro.errors.SolverError` when a non-start state
     keeps all its mass (``divisor <= 0``): the policy is multichain.
     """
 
     __slots__ = ("cert", "pos_start", "to_start", "divisor", "_off",
-                 "_blocks", "_blocks_t")
+                 "_off_t")
 
     def __init__(self, kernel: BellmanKernel, cert: StructureCertificate,
                  policy: np.ndarray,
                  row_scale: Optional[np.ndarray] = None) -> None:
-        self.cert = cert
-        self.pos_start = int(cert.rank[cert.start])
-        rows = kernel.policy_rows(policy)[cert.order]
-        off = cert.cut[rows]
-        loop = cert.loop[rows]
-        self.to_start = cert.to_start[rows]
-        if row_scale is not None:
-            scale = row_scale[cert.order]
-            off.data *= np.repeat(scale, np.diff(off.indptr))
-            loop *= scale
-            self.to_start *= scale
-        self.divisor = 1.0 - loop
-        self.divisor[self.pos_start] = 1.0
-        if not (self.divisor > 0.0).all():
-            state = int(cert.order[np.argmin(self.divisor > 0.0)])
-            raise SolverError(
-                f"policy evaluation failed: state {state} is absorbing "
-                "under the evaluated policy (1 - p_ss <= 0); the policy "
-                "is multichain")
-        self._off = off
-        self._blocks = _level_blocks(off, cert.bounds)
-        self._blocks_t: Optional[list] = None
+        with span("kernel/renewal/prepare"):
+            self.cert = cert
+            self.pos_start = int(cert.rank[cert.start])
+            rows = kernel.policy_rows(policy)[cert.order]
+            off = cert.cut[rows]
+            loop = cert.loop[rows]
+            self.to_start = cert.to_start[rows]
+            if row_scale is not None:
+                scale = row_scale[cert.order]
+                off.data *= np.repeat(scale, np.diff(off.indptr))
+                loop *= scale
+                self.to_start *= scale
+            self.divisor = 1.0 - loop
+            self.divisor[self.pos_start] = 1.0
+            if not (self.divisor > 0.0).all():
+                state = int(cert.order[np.argmin(self.divisor > 0.0)])
+                raise SolverError(
+                    f"policy evaluation failed: state {state} is "
+                    "absorbing under the evaluated policy (1 - p_ss <= "
+                    "0); the policy is multichain")
+            self._off = off
+            self._off_t: Optional[sparse.csr_matrix] = None
 
     def back(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``x = (rhs + off @ x) / divisor`` level by level from
         level 0 up (``rhs`` and ``x`` in certificate order)."""
-        return _substitute(rhs, self.divisor, self._blocks)
+        levels = zip(self.cert.bounds[:-1].tolist(),
+                     self.cert.bounds[1:].tolist())
+        with span("kernel/renewal/pass"):
+            return _substitute(rhs, self.divisor, self._off, levels)
 
     def forward(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``x = (rhs + off.T @ x) / divisor`` from the top level
         down (the transposed system: expected visits per cycle)."""
-        if self._blocks_t is None:
-            self._blocks_t = _level_blocks(self._off.T.tocsr(),
-                                           self.cert.bounds)[::-1]
-        return _substitute(rhs, self.divisor, self._blocks_t)
+        if self._off_t is None:
+            with span("kernel/renewal/prepare"):
+                self._off_t = self._off.T.tocsr()
+        bounds = self.cert.bounds.tolist()
+        levels = zip(bounds[-2::-1], bounds[:0:-1])
+        with span("kernel/renewal/pass"):
+            return _substitute(rhs, self.divisor, self._off_t, levels)
 
     def pinned(self, rewards: np.ndarray) -> np.ndarray:
         """Solve ``(I - M) V = rewards`` for the (row-scaled) policy
@@ -357,38 +395,32 @@ class LevelSystem:
         return values[self.cert.rank]
 
 
-def _level_blocks(matrix: sparse.csr_matrix, bounds: np.ndarray) -> list:
-    """Per level ``(lo, hi, block)``: the level's rows ``lo:hi`` of
-    ``matrix`` as a CSR block sharing its arrays, or ``None`` when the
-    level has no entries."""
+def _substitute(rhs: np.ndarray, divisor: np.ndarray,
+                matrix: sparse.csr_matrix, levels: Iterable) -> np.ndarray:
+    """Solve ``x = (rhs + matrix @ x) / divisor`` visiting the row
+    ranges ``levels`` (``(lo, hi)`` pairs) in order; the rows of each
+    range only read ranges visited before it, so unfilled ``x`` is
+    never read.
+
+    Each range is one call of scipy's CSR matvec kernel -- the routine
+    behind ``block @ x`` -- on slices of ``matrix``'s arrays, written
+    straight into ``x``: the same arithmetic in the same order as a
+    product with a per-level CSR block, without building one."""
     indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
     n = matrix.shape[1]
-    blocks = []
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        e0, e1 = indptr[lo], indptr[hi]
-        block = None
-        if e1 > e0:
-            block = sparse.csr_matrix(
-                (data[e0:e1], indices[e0:e1], indptr[lo:hi + 1] - e0),
-                shape=(hi - lo, n), copy=False)
-        blocks.append((lo, hi, block))
-    return blocks
-
-
-def _substitute(rhs: np.ndarray, divisor: np.ndarray,
-                blocks: list) -> np.ndarray:
-    """Solve ``x = (rhs + M @ x) / divisor`` visiting the level blocks
-    of ``M`` in list order; each block only reads levels visited before
-    it (its entries elsewhere are absent, so unfilled ``x`` is never
-    read)."""
-    x = np.zeros_like(rhs)
-    if rhs.ndim == 2:
-        divisor = divisor[:, None]
-    for lo, hi, block in blocks:
-        if block is None:
-            x[lo:hi] = rhs[lo:hi] / divisor[lo:hi]
-        else:
-            x[lo:hi] = (rhs[lo:hi] + block @ x) / divisor[lo:hi]
+    x = np.zeros(rhs.shape)
+    flat = x.ravel()
+    # (N, m) views: a 1-D right-hand side is one column.
+    columns = x.reshape(len(x), -1)
+    rhs = rhs.reshape(len(rhs), -1)
+    divisor = divisor[:, None]
+    width = columns.shape[1]
+    for lo, hi in levels:
+        block = columns[lo:hi]
+        _sparsetools.csr_matvecs(hi - lo, n, width, indptr[lo:hi + 1],
+                                 indices, data, flat, block.ravel())
+        block += rhs[lo:hi]
+        block /= divisor[lo:hi]
     return x
 
 
@@ -577,13 +609,24 @@ class PolicyEvalCache:
     """
 
     def __init__(self, mdp, max_policies: int = POLICY_CACHE_SIZE) -> None:
-        self._mdp = mdp
+        # The MDP owns its cache (``MDP.eval_cache``); a weak reference
+        # back keeps the pair out of a reference cycle, so an MDP that
+        # drops out of the build cache is freed at once rather than at
+        # the next full garbage collection.
+        self._mdp_ref = weakref.ref(mdp)
         self._max = int(max_policies)
         self._entries: "OrderedDict[bytes, _PolicyEntry]" = OrderedDict()
         # One-slot holder shared with every structure view, so the
         # certificate is computed once whichever cache asks first.
         self._cert: list = []
         self.stats = EvalCacheStats()
+
+    @property
+    def _mdp(self):
+        mdp = self._mdp_ref()
+        if mdp is None:
+            raise MDPError("the MDP of this evaluation cache was freed")
+        return mdp
 
     def certificate(self) -> Optional[StructureCertificate]:
         """The MDP's structure certificate (computed on first use)."""
@@ -661,7 +704,7 @@ class PolicyEvalCache:
             rows = entry.structure.policy, states
             for name in missing:
                 r_pi = self._mdp.channel_reward(name)[rows]
-                entry.gains[name] = float(pi.dot(r_pi))
+                entry.gains[name] = dot(pi, r_pi)
         self.stats.bump("gain_hits", len(names) - len(missing))
         return {name: entry.gains[name] for name in names}
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.mdp import backends
+from repro.mdp.kernels import dot
 from repro.mdp.model import MDP
 from repro.runtime.telemetry import counter_add, gauge_set, span
 
@@ -310,10 +311,11 @@ def _spawn_rngs(n_traj: int, seed) -> List[np.random.Generator]:
 def _channel_total(visits: np.ndarray, r_pi: np.ndarray) -> float:
     """Channel total of one trajectory: visit counts dotted with the
     per-state policy rewards.  Serial and batched results both route
-    through this exact expression (a float64 BLAS dot; the cast is
-    exact for any realistic step count), which is what keeps them
-    bit-identical given identical visit counts."""
-    return float(visits.astype(np.float64).dot(r_pi))
+    through this exact reduction (a float64 :func:`~repro.mdp.kernels.dot`,
+    which avoids BLAS; the cast is exact for any realistic step
+    count), which is what keeps them bit-identical given identical
+    visit counts."""
+    return dot(visits.astype(np.float64), r_pi)
 
 
 def rollout(mdp: MDP, policy: np.ndarray, steps: int,
@@ -486,9 +488,9 @@ def rollout_batch(mdp: MDP, policy: np.ndarray, steps: int,
     _note_steps(steps * len(rngs), time.monotonic() - started)
     n_traj = len(rngs)
     # One cast for the whole matrix; each row dot is then the same
-    # BLAS call `_channel_total` makes for the serial sampler.
+    # reduction `_channel_total` makes for the serial sampler.
     visits_f = visits.astype(np.float64)
-    totals = {name: np.array([float(visits_f[b].dot(r_pi))
+    totals = {name: np.array([dot(visits_f[b], r_pi)
                               for b in range(n_traj)])
               for name, r_pi in tables.channel_rewards.items()}
     return BatchRolloutResult(steps=steps, n_traj=n_traj, totals=totals,

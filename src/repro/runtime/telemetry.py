@@ -359,10 +359,12 @@ def summarize_trace(trace: Dict) -> str:
             ["method", "solves won", "share %"], rows,
             title="ratio method wins", precision=1))
     if trace["gauges"]:
-        rows = [[name, value]
+        # Scientific notation: certified bounds and residuals sit at
+        # 1e-9 and below, where fixed precision prints zeros.
+        rows = [[name, f"{value:.6e}"]
                 for name, value in sorted(trace["gauges"].items())]
         sections.append(format_table(["gauge", "last value"], rows,
-                                     title="gauges", precision=6))
+                                     title="gauges"))
     if not sections:
         return "(empty trace)"
     return "\n\n".join(sections)

@@ -382,3 +382,23 @@ def test_structure_view_shares_the_certificate():
         base.eval_cache().certificate()
     assert sum(1 for e in tracer.events if e.get("type") == "span"
                and e["name"] == "kernel/structure") == 1
+
+
+def test_mdp_is_freed_without_the_cycle_collector():
+    """The eval cache refers back to its MDP weakly, so an MDP dropped
+    from every other reference is freed at once, cache included."""
+    import gc
+    import weakref
+    mdp = random_unichain_mdp(np.random.default_rng(15))
+    cache = mdp.eval_cache()
+    policy = np.zeros(mdp.n_states, dtype=int)
+    cache.evaluate(policy, mdp.combined_reward({"r": 1.0}))
+    alive = weakref.ref(mdp)
+    gc.disable()
+    try:
+        del mdp
+        assert alive() is None
+        with pytest.raises(MDPError, match="freed"):
+            cache.channel_gains(policy)
+    finally:
+        gc.enable()

@@ -110,6 +110,7 @@ def test_write_load_roundtrip(tmp_path):
     assert [e["path"] for e in trace["events"]] == ["phase"]
     text = summarize_trace(trace)
     assert "phase" in text and "steps" in text and "residual" in text
+    assert "1.000000e-09" in text
 
 
 def test_load_trace_rejects_non_trace_files(tmp_path):
