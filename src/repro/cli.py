@@ -46,15 +46,6 @@ every relative-revenue/orphan-rate solve (see
 :mod:`repro.mdp.ratio` and docs/mdp-methods.md); like ``--backend``
 the choice is exported through ``REPRO_RATIO_METHOD`` so spawned
 worker processes inherit it.
-
-``attack``, ``tables`` and ``bench`` accept ``--engine
-{exact,approx}``, selecting the average-reward solve engine:
-``approx`` routes models with at least ``APPROX_MIN_STATES`` states
-through the prioritized asynchronous value-iteration engine with
-certified error bounds (smaller models, and any approx-stage failure
-under a supervisor, fall back to the exact solvers; see
-:mod:`repro.mdp.approx` and docs/mdp-methods.md).  Exported through
-``REPRO_ENGINE`` for worker processes, like the other flags.
 """
 
 from __future__ import annotations
@@ -483,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_flag(attack)
     _add_backend_flag(attack)
     _add_ratio_method_flag(attack)
-    _add_engine_flag(attack)
     attack.set_defaults(func=cmd_attack)
 
     tables = sub.add_parser("tables", help="regenerate paper tables")
@@ -499,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_flag(tables)
     _add_scheduler_flag(tables)
     _add_ratio_method_flag(tables)
-    _add_engine_flag(tables)
     tables.set_defaults(func=cmd_tables)
 
     figures = sub.add_parser("figures", help="replay Figures 1-3")
@@ -672,7 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_flag(bench)
     _add_backend_flag(bench)
     _add_ratio_method_flag(bench)
-    _add_engine_flag(bench)
     bench.set_defaults(func=cmd_bench)
 
     qa = sub.add_parser("qa",
@@ -718,18 +706,6 @@ def _add_backend_flag(sub: argparse.ArgumentParser) -> None:
                           "warning when unavailable)")
 
 
-def _add_engine_flag(sub: argparse.ArgumentParser) -> None:
-    from repro.mdp.approx import ENGINE_NAMES
-    sub.add_argument("--engine", default=None, choices=ENGINE_NAMES,
-                     dest="solve_engine",
-                     help="average-reward solve engine: 'exact' "
-                          "(policy iteration, the default) "
-                          "or 'approx' (prioritized asynchronous VI "
-                          "with certified a-posteriori bounds; only "
-                          "models above the size threshold take the "
-                          "approximate path)")
-
-
 def _add_ratio_method_flag(sub: argparse.ArgumentParser) -> None:
     from repro.mdp.ratio import RATIO_METHODS
     sub.add_argument("--ratio-method", default=None,
@@ -771,13 +747,6 @@ def _apply_runtime_flags(args: argparse.Namespace) -> None:
         from repro.mdp import ratio
         os.environ[ratio.RATIO_METHOD_ENV] = ratio_method
         ratio.set_ratio_method(ratio_method)
-    engine = getattr(args, "solve_engine", None)
-    if engine is not None:
-        import os
-
-        from repro.mdp import approx
-        os.environ[approx.ENGINE_ENV] = engine
-        approx.set_engine(engine)
     spec = getattr(args, "scheduler", None)
     if spec is not None:
         from repro.runtime.parallel import make_scheduler, \

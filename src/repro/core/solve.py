@@ -24,8 +24,6 @@ from repro.core.attack_mdp import build_attack_mdp
 from repro.core.config import AttackConfig
 from repro.core.incentives import IncentiveModel
 from repro.errors import ReproError
-from repro.mdp.approx import approx_average_reward, approx_average_solver, \
-    engine_prefers_approx
 from repro.mdp.model import MDP
 from repro.mdp.policy import Policy
 from repro.mdp.policy_iteration import policy_iteration
@@ -56,11 +54,11 @@ class AttackAnalysis:
         policy.
     solver:
         Provenance of the solve: ``{"method", "iterations",
-        "transformed_solves", "engine"}`` (the ratio method or
-        average-reward stage that produced the answer, what it cost,
-        and whether the exact or the approximate engine ran it).
-        ``None`` on analyses loaded from artifacts that predate this
-        field.
+        "transformed_solves"}`` (the ratio method or average-reward
+        stage that produced the answer, and what it cost).  ``None``
+        on analyses loaded from artifacts that predate this field;
+        older artifacts may also carry an ``"engine"`` key, kept
+        verbatim.
     """
 
     config: AttackConfig
@@ -93,12 +91,10 @@ def _prepare(config: AttackConfig, model: IncentiveModel,
     return config, mdp
 
 
-def _ratio_solver_info(solution,
-                       engine: str = "exact") -> Dict[str, object]:
+def _ratio_solver_info(solution) -> Dict[str, object]:
     return {"method": solution.method,
             "iterations": solution.iterations,
-            "transformed_solves": solution.transformed_solves,
-            "engine": engine}
+            "transformed_solves": solution.transformed_solves}
 
 
 def solve_relative_revenue(config: AttackConfig,
@@ -123,17 +119,14 @@ def solve_relative_revenue(config: AttackConfig,
         config, mdp = _prepare(config, IncentiveModel.COMPLIANT_PROFIT,
                                mdp)
         num, den = IncentiveModel.COMPLIANT_PROFIT.utility_channels()
-        approx = engine_prefers_approx(mdp)
         if supervisor is not None:
             solution = supervisor.solve_ratio(
                 mdp, num, den, lo=0.0, hi=1.0, tol=tol,
                 initial_policy=initial_policy, method=ratio_method)
-            approx = supervisor.last_stage == "approx"
         else:
             solution = maximize_ratio(
                 mdp, num, den, lo=0.0, hi=1.0, tol=tol,
-                method=ratio_method, initial_policy=initial_policy,
-                solver=approx_average_solver() if approx else None)
+                method=ratio_method, initial_policy=initial_policy)
         policy = Policy(mdp, solution.policy)
         rates = policy_gains(mdp, solution.policy)
     return AttackAnalysis(config=config,
@@ -141,9 +134,7 @@ def solve_relative_revenue(config: AttackConfig,
                           utility=solution.value,
                           honest_utility=config.alpha,
                           policy=policy, rates=rates,
-                          solver=_ratio_solver_info(
-                              solution,
-                              engine="approx" if approx else "exact"))
+                          solver=_ratio_solver_info(solution))
 
 
 def solve_absolute_reward(config: AttackConfig,
@@ -166,10 +157,6 @@ def solve_absolute_reward(config: AttackConfig,
                 mdp, mdp.combined_reward(dict(num)),
                 initial_policy=initial_policy)
             method = supervisor.last_stage or "policy-iteration"
-        elif engine_prefers_approx(mdp):
-            solution = approx_average_reward(
-                mdp, mdp.combined_reward(dict(num)))
-            method = "approx"
         else:
             solution = policy_iteration(mdp,
                                         mdp.combined_reward(dict(num)),
@@ -199,26 +186,21 @@ def solve_orphan_rate(config: AttackConfig,
         counter_add("solve/orphans")
         config, mdp = _prepare(config, IncentiveModel.NON_PROFIT, mdp)
         num, den = IncentiveModel.NON_PROFIT.utility_channels()
-        approx = engine_prefers_approx(mdp)
         if supervisor is not None:
             solution = supervisor.solve_ratio(
                 mdp, num, den, lo=0.0, hi=float(config.ad), tol=tol,
                 initial_policy=initial_policy, method=ratio_method)
-            approx = supervisor.last_stage == "approx"
         else:
             solution = maximize_ratio(
                 mdp, num, den, lo=0.0, hi=float(config.ad), tol=tol,
-                method=ratio_method, initial_policy=initial_policy,
-                solver=approx_average_solver() if approx else None)
+                method=ratio_method, initial_policy=initial_policy)
         policy = Policy(mdp, solution.policy)
         rates = policy_gains(mdp, solution.policy)
     return AttackAnalysis(config=config, model=IncentiveModel.NON_PROFIT,
                           utility=solution.value,
                           honest_utility=0.0,
                           policy=policy, rates=rates,
-                          solver=_ratio_solver_info(
-                              solution,
-                              engine="approx" if approx else "exact"))
+                          solver=_ratio_solver_info(solution))
 
 
 def analyze(config: AttackConfig, model: IncentiveModel,

@@ -141,9 +141,7 @@ def q_backup_states(indptr, indices, data, reward, values, states,
     Returns ``(best, policy)`` arrays of length ``len(states)``, equal
     bit-for-bit to ``q_backup_max(...)`` sliced at ``states`` -- same
     left-to-right row accumulation, same discount-then-reward order,
-    same tie-break.  This is the prioritized-sweeping kernel: the
-    asynchronous engine backs up only the high-residual states it
-    popped off the priority queue.
+    same tie-break.
     """
     n_actions, n_states = reward.shape
     k = states.shape[0]

@@ -96,10 +96,10 @@ class NumpyBackend:
     def q_backup_states(self, kernel, reward: np.ndarray,
                         values: np.ndarray, states: np.ndarray,
                         discount: float = 1.0):
-        """Subset backup over ``states`` only (the prioritized-sweep
-        kernel): row-slice the stack at every (action, state) pair of
-        the subset, then the same dot/discount/add/mask sequence as
-        the full backup -- bit-identical to slicing its result."""
+        """Subset backup over ``states`` only: row-slice the stack at
+        every (action, state) pair of the subset, then the same
+        dot/discount/add/mask sequence as the full backup --
+        bit-identical to slicing its result."""
         states = np.asarray(states, dtype=np.int64)
         rows = (np.arange(kernel.n_actions, dtype=np.int64)[:, None]
                 * kernel.n_states + states).ravel()

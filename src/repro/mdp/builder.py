@@ -13,8 +13,8 @@ matrix assembly happens vectorized in :meth:`MDPBuilder.build` (CSR
 construction from COO triplets sums duplicates, ``np.add.at``
 accumulates expected rewards).
 
-For lookahead caps well past the paper's ``ad=6`` (the approximate
-engine's territory: hundreds of thousands of states), even one Python
+For lookahead caps well past the paper's ``ad=6`` (hundreds of
+thousands of states at ``ad=12``), even one Python
 call per transition is too slow; :meth:`MDPBuilder.state_ids` bulk-
 interns key sequences and :meth:`MDPBuilder.add_batch` records whole
 transition arrays per action, stored as chunks and concatenated once

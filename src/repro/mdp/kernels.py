@@ -172,9 +172,9 @@ def q_backup_states(mdp, reward: np.ndarray, values: np.ndarray,
                     ) -> Tuple[np.ndarray, np.ndarray]:
     """Fused Q-backup over a *subset* of states: ``(best, policy)``
     arrays of length ``len(states)``, bit-identical to slicing
-    :func:`q_backup_max`'s result at ``states``.  The sweep shape of
-    the prioritized asynchronous engine (:mod:`repro.mdp.approx`),
-    which backs up only the states popped off its residual queue."""
+    :func:`q_backup_max`'s result at ``states``.  No solver calls it;
+    it stays because the ``perfbench`` layer trace still wraps it by
+    name as one of the ``mdp.kernels.backup`` entry points."""
     return backends.active().q_backup_states(
         mdp.kernel(), reward, values,
         np.asarray(states, dtype=np.int64), discount)

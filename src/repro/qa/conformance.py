@@ -24,11 +24,6 @@ tolerance, producing a per-(check, instance-class) matrix.  Checks:
 ``ratio-pto``             probabilistic-termination (PTO) ratio solve
                           vs exact fixed point (and: must not silently
                           fall back)
-``approx``                prioritized asynchronous VI engine vs exact
-                          gain: the certified a-posteriori bound must
-                          contain the true optimum *and* the result
-                          must be a genuine :class:`ApproxSolution`
-                          (no silent fallback to an exact path)
 ``mc``                    batched Monte-Carlo rollout of the exact
                           optimal policy (statistical check)
 ``meta-shift``            gain(r + c) == gain(r) + c
@@ -56,7 +51,6 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from repro.errors import ReproError
-from repro.mdp.approx import ApproxSolution, approx_average_reward
 from repro.mdp.average_reward import relative_value_iteration
 from repro.mdp.kernels import PolicyEvalCache
 from repro.mdp.linear_programming import lp_average_reward
@@ -85,7 +79,7 @@ from repro.runtime.telemetry import counter_add, span
 
 #: All conformance checks, in display order.
 CHECKS = ("vi", "pi", "renewal", "rvi", "lp", "ratio-dinkelbach",
-          "ratio-bisection", "ratio-pto", "approx", "mc",
+          "ratio-bisection", "ratio-pto", "mc",
           "meta-shift", "meta-scale", "meta-permute", "meta-dup")
 
 #: Certified relative tolerance per check (see docs/correctness.md for
@@ -100,7 +94,6 @@ TOLERANCES: Dict[str, float] = {
     "ratio-dinkelbach": 1e-6,
     "ratio-bisection": 1e-5,
     "ratio-pto": 1e-6,
-    "approx": 1e-8,
     "meta-shift": 1e-9,
     "meta-scale": 1e-9,
     "meta-permute": 1e-9,
@@ -255,30 +248,6 @@ def _check_ratio(inst: QAInstance, method: str) -> Tuple[float, float, str]:
     return err, TOLERANCES[key], f"method={sol.method}"
 
 
-def _check_approx(inst: QAInstance) -> Tuple[float, float, str]:
-    reward = inst.mdp.combined_reward(inst.num)
-    scale = max(1.0, inst.reward_scale)
-    gain_exact, _ = _exact_gain(inst)
-    sol = approx_average_reward(inst.mdp, reward, epsilon=1e-9 * scale)
-    if not isinstance(sol, ApproxSolution) or sol.sweeps < 1 \
-            or not sol.certified:
-        # The engine must actually have run its sweeps and certified
-        # the answer; anything else is a silent fallback.
-        return (float("inf"), TOLERANCES["approx"],
-                f"fell back to {type(sol).__name__} "
-                f"(sweeps={getattr(sol, 'sweeps', 0)})")
-    # The certificate claims gain <= g* <= gain + bound.  Both sides
-    # must hold against the exact rational reference (normalized like
-    # the other gain checks; slack only for float LU noise).
-    denom = max(1.0, abs(gain_exact))
-    overshoot = max(0.0, (gain_exact - sol.gain) - sol.bound) / denom
-    undershoot = max(0.0, sol.gain - gain_exact) / denom
-    err = max(overshoot, undershoot)
-    return (err, TOLERANCES["approx"],
-            f"{sol.sweeps} sweeps, {sol.queue_pops} pops, "
-            f"bound={sol.bound:.1e}")
-
-
 def _check_mc(inst: QAInstance) -> Tuple[float, float, str]:
     gain_exact, policy = _exact_gain(inst)
     batch = rollout_batch(inst.mdp, policy, steps=MC_STEPS,
@@ -348,7 +317,6 @@ _CHECK_FNS: Dict[str, Callable[[QAInstance], Tuple[float, float, str]]] = {
     "ratio-dinkelbach": lambda i: _check_ratio(i, "dinkelbach"),
     "ratio-bisection": lambda i: _check_ratio(i, "bisection"),
     "ratio-pto": lambda i: _check_ratio(i, "pto"),
-    "approx": _check_approx,
     "mc": _check_mc,
     "meta-shift": _check_meta_shift,
     "meta-scale": _check_meta_scale,

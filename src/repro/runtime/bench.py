@@ -522,27 +522,22 @@ def bench_ratio_methods(fast: bool) -> Dict:
                         "pto_wall_s": round(pto["wall_s"], 4)}}
 
 
-def bench_approx_scale(fast: bool) -> Dict:
-    """Approximate-engine relative-revenue solve past the exact scale.
+def bench_exact_scale(fast: bool) -> Dict:
+    """Relative-revenue solve of a large setting-2 cell by the default
+    exact path.
 
     Builds the setting-2 cell at ``ad=12`` -- 435,580 states, more
-    than 10x the 30,595-state acceptance cell -- and times a
-    Dinkelbach solve whose inner average-reward solves all run on the
-    approximate engine (:mod:`repro.mdp.approx`); ``fast`` shrinks the
-    cap to ``ad=4`` so CI smoke finishes in seconds.
-
-    Three correctness gates fail the benchmark outright, independent
-    of timing: every inner solve must answer as the approximate engine
-    with a certificate (no silent fallback); the certified truncation
-    bound of the final inner solve must stay below 1e-6; and in fast
-    mode (where the exact solver is cheap) the approx utility must
-    agree with the exact Dinkelbach utility within 1e-6.
+    than 10x the 30,595-state acceptance cell -- and times the default
+    :func:`~repro.mdp.ratio.maximize_ratio` solve; ``fast`` shrinks the
+    cap to ``ad=4`` so CI smoke finishes in seconds.  The benchmark
+    fails outright unless the solve answered by Dinkelbach (no silent
+    fallback) and every policy evaluation took the renewal path (zero
+    ``eval_cache/lu_fallbacks``).
     """
     from repro.core.attack_mdp import build_attack_mdp, \
         clear_attack_mdp_cache
     from repro.core.config import AttackConfig
     from repro.core.incentives import IncentiveModel
-    from repro.mdp.approx import ApproxSolution, approx_average_solver
     from repro.mdp.ratio import maximize_ratio
 
     config = AttackConfig.from_ratio(0.25, (1, 1), setting=2,
@@ -550,55 +545,21 @@ def bench_approx_scale(fast: bool) -> Dict:
     clear_attack_mdp_cache()
     mdp = build_attack_mdp(config)
     num, den = IncentiveModel.COMPLIANT_PROFIT.utility_channels()
-
-    inner: List = []
-    base_solver = approx_average_solver()
-
-    def solver(model, reward, warm=None):
-        solution = base_solver(model, reward, warm)
-        inner.append(solution)
-        return solution
-
-    def run():
-        start = time.perf_counter()
-        solution = maximize_ratio(mdp, num, den, lo=0.0, hi=1.0,
-                                  tol=1e-7, method="dinkelbach",
-                                  solver=solver)
-        return solution, time.perf_counter() - start
-
-    (solution, wall), counters = _counters_during(run)
-
-    if not inner or not all(isinstance(sol, ApproxSolution)
-                            and sol.certified for sol in inner):
+    start = time.perf_counter()
+    solution = maximize_ratio(mdp, num, den, lo=0.0, hi=1.0, tol=1e-7)
+    wall = time.perf_counter() - start
+    stats = mdp.eval_cache().stats
+    if solution.method != "dinkelbach" or stats.lu_fallbacks:
         raise ReproError(
-            "approx-scale inner solves did not all answer as the "
-            "certified approximate engine; the benchmark is not "
-            "measuring what it claims")
-    bound = inner[-1].bound
-    if not bound <= 1e-6:
-        raise ReproError(
-            f"approx-scale certified bound {bound!r} exceeds the 1e-6 "
-            "target; the engine no longer solves this cell within its "
-            "certificate")
-    if fast:
-        exact = maximize_ratio(mdp, num, den, lo=0.0, hi=1.0,
-                               tol=1e-7, method="dinkelbach")
-        drift = abs(solution.value - exact.value)
-        if drift > 1e-6 * max(1.0, abs(exact.value)):
-            raise ReproError(
-                f"approx utility {solution.value!r} disagrees with the "
-                f"exact Dinkelbach utility {exact.value!r}")
+            f"exact-scale answered by {solution.method!r} with "
+            f"{stats.lu_fallbacks} LU fallbacks; expected Dinkelbach "
+            "over renewal evaluation only")
     return {"wall_time_s": wall,
             "metrics": {"n_states": mdp.n_states,
                         "utility": solution.value,
-                        "bound": bound,
-                        "inner_solves": len(inner),
-                        "sweeps":
-                            counters.get("solver/approx/sweeps", 0),
-                        "queue_pops":
-                            counters.get("solver/approx/queue_pops", 0),
-                        "degraded":
-                            counters.get("solver/approx/degraded", 0)}}
+                        "iterations": solution.iterations,
+                        "transformed_solves":
+                            solution.transformed_solves}}
 
 
 #: name -> benchmark callable; each returns {"wall_time_s", "metrics"}.
@@ -608,7 +569,7 @@ BENCHMARKS: Dict[str, Callable[[bool], Dict]] = {
     "attack-e2e": bench_attack_e2e,
     "reward-rebuild": bench_reward_rebuild,
     "ratio-methods": bench_ratio_methods,
-    "approx-scale": bench_approx_scale,
+    "exact-scale": bench_exact_scale,
     "sim-rollout": bench_sim_rollout,
     "sim-validate": bench_sim_validate,
     "serve-smoke": bench_serve_smoke,

@@ -17,10 +17,7 @@ run in bulk:
   -> bisection over the occupation-measure LP; selecting the PTO
   method (:func:`ratio_chain_for`) prepends a strict PTO stage, so a
   PTO failure (e.g. a zero-denominator policy making the terminated
-  system singular) falls back to the full default chain; selecting
-  ``--engine approx`` prepends a strict approximate-engine stage for
-  models above ``APPROX_MIN_STATES`` states (smaller models keep the
-  exact chain unchanged);
+  system singular) falls back to the full default chain;
 - **average-reward maximization** (:class:`AverageRequest`), default
   chain policy iteration -> relative value iteration -> LP.
 
@@ -43,11 +40,6 @@ from repro.errors import (
     SolverBudgetExceededError,
     SolverError,
     SolverInputError,
-)
-from repro.mdp.approx import (
-    approx_average_reward,
-    approx_average_solver,
-    engine_prefers_approx,
 )
 from repro.mdp.average_reward import relative_value_iteration
 from repro.mdp.linear_programming import lp_average_reward
@@ -181,24 +173,6 @@ def _ratio_pto(request: RatioRequest,
                           strict=True, on_solve=on_solve)
 
 
-def _ratio_approx(request: RatioRequest,
-                  clock: Optional[BudgetClock]) -> RatioSolution:
-    # Strict, like the other leading stages: an approx-engine failure
-    # (non-convergence within the sweep budget) falls through to the
-    # exact chain instead of silently bisecting inside this stage.
-    on_iter = None
-    if clock is not None:
-        def on_iter(it: int) -> None:
-            if it % 100 == 0:
-                clock.tick(100)
-    return maximize_ratio(request.mdp, request.num, request.den,
-                          lo=request.lo, hi=request.hi, tol=request.tol,
-                          max_iter=request.max_iter, method="dinkelbach",
-                          initial_policy=request.initial_policy,
-                          strict=True,
-                          solver=approx_average_solver(on_iter=on_iter))
-
-
 def _ratio_bisection(solver_factory):
     def stage(request: RatioRequest,
               clock: Optional[BudgetClock]) -> RatioSolution:
@@ -219,53 +193,29 @@ RATIO_CHAIN: Tuple[Tuple[str, Callable], ...] = (
 )
 
 
-def ratio_chain_for(method: Optional[str] = None,
-                    mdp: Optional[MDP] = None
+def ratio_chain_for(method: Optional[str] = None
                     ) -> Tuple[Tuple[str, Callable], ...]:
     """The ratio fallback chain for a selected method (``None``
     resolves via :func:`repro.mdp.ratio.current_ratio_method`).
 
     ``"pto"`` prepends a strict PTO stage to the full default chain;
     ``"bisection"`` skips the Dinkelbach stage; ``"dinkelbach"`` is the
-    default chain unchanged.  When ``mdp`` is given and the selected
-    solve engine routes it to the approximate path
-    (:func:`repro.mdp.approx.engine_prefers_approx` -- ``--engine
-    approx`` and at least ``APPROX_MIN_STATES`` states), a strict
-    approx stage is prepended, so large models try the prioritized
-    asynchronous engine first and *fall back to the exact solvers*
-    on any failure; small models never see the approx stage.
+    default chain unchanged.
     """
     if method is None:
         method = current_ratio_method()
     if method == "pto":
-        chain: Tuple[Tuple[str, Callable], ...] = \
-            (("pto", _ratio_pto),) + RATIO_CHAIN
-    elif method == "bisection":
-        chain = RATIO_CHAIN[1:]
-    elif method == "dinkelbach":
-        chain = RATIO_CHAIN
-    else:
-        raise SolverInputError(
-            f"unknown ratio method {method!r} for fallback chain "
-            f"selection")
-    if mdp is not None and engine_prefers_approx(mdp):
-        chain = (("approx", _ratio_approx),) + chain
-    return chain
+        return (("pto", _ratio_pto),) + RATIO_CHAIN
+    if method == "bisection":
+        return RATIO_CHAIN[1:]
+    if method == "dinkelbach":
+        return RATIO_CHAIN
+    raise SolverInputError(
+        f"unknown ratio method {method!r} for fallback chain "
+        f"selection")
 
 
 # -- average-reward stages ---------------------------------------------
-
-def _average_approx(request: AverageRequest,
-                    clock: Optional[BudgetClock]
-                    ) -> AverageRewardSolution:
-    on_iter = None
-    if clock is not None:
-        def on_iter(it: int) -> None:
-            if it % 100 == 0:
-                clock.tick(100)
-    return approx_average_reward(request.mdp, request.reward,
-                                 on_iter=on_iter)
-
 
 def _average_pi(request: AverageRequest,
                 clock: Optional[BudgetClock]) -> AverageRewardSolution:
@@ -290,16 +240,6 @@ AVERAGE_CHAIN: Tuple[Tuple[str, Callable], ...] = (
     ("value-iteration", _average_rvi),
     ("lp", _average_lp),
 )
-
-
-def average_chain_for(mdp: Optional[MDP] = None
-                      ) -> Tuple[Tuple[str, Callable], ...]:
-    """The average-reward fallback chain, with a strict approx stage
-    prepended when the selected engine routes ``mdp`` to the
-    approximate path (same rule as :func:`ratio_chain_for`)."""
-    if mdp is not None and engine_prefers_approx(mdp):
-        return (("approx", _average_approx),) + AVERAGE_CHAIN
-    return AVERAGE_CHAIN
 
 
 @dataclass

@@ -37,10 +37,10 @@ from repro.mdp.ratio import RatioSolution
 from repro.runtime.budget import Budget, BudgetClock
 from repro.runtime.telemetry import counter_add, span
 from repro.runtime.fallbacks import (
+    AVERAGE_CHAIN,
     AverageRequest,
     RatioRequest,
     StageDiagnostics,
-    average_chain_for,
     ratio_chain_for,
     run_chain,
 )
@@ -56,14 +56,13 @@ class SolverSupervisor:
         within one :meth:`clock` scope (each top-level call starts a
         fresh clock over the same declarative budget).
     ratio_chain, average_chain:
-        Fallback chains as ``(name, stage)`` sequences.  Both default
-        to ``None``, meaning they are re-resolved per solve via
-        :func:`repro.runtime.fallbacks.ratio_chain_for` /
-        :func:`repro.runtime.fallbacks.average_chain_for` (so the
-        process-global ``--ratio-method`` and ``--engine`` selections
-        take effect even on supervisors built before the flags were
-        applied, and the approx stage is only prepended for models
-        above the size threshold).
+        Fallback chains as ``(name, stage)`` sequences.
+        ``ratio_chain`` defaults to ``None``, meaning it is re-resolved
+        per solve via :func:`repro.runtime.fallbacks.ratio_chain_for`
+        (so the process-global ``--ratio-method`` selection takes
+        effect even on supervisors built before the flag was applied);
+        ``average_chain`` defaults to
+        :data:`repro.runtime.fallbacks.AVERAGE_CHAIN`.
     validate_inputs, validate_outputs:
         Toggle the pre-/post-solve checks (both on by default; input
         validation re-runs the MDP's structural validator, which is
@@ -87,7 +86,7 @@ class SolverSupervisor:
         self.budget = budget if budget is not None else Budget()
         self.ratio_chain = (None if ratio_chain is None
                             else tuple(ratio_chain))
-        self.average_chain = (None if average_chain is None
+        self.average_chain = (AVERAGE_CHAIN if average_chain is None
                               else tuple(average_chain))
         self.validate_inputs = validate_inputs
         self.validate_outputs = validate_outputs
@@ -140,7 +139,7 @@ class SolverSupervisor:
                                tol=tol, max_iter=max_iter,
                                initial_policy=initial_policy)
         chain = (self.ratio_chain if self.ratio_chain is not None
-                 else ratio_chain_for(method, mdp=mdp))
+                 else ratio_chain_for(method))
         outcome = self._run(chain, request)
         solution: RatioSolution = outcome.result
         if self.validate_outputs and not np.isfinite(solution.value):
@@ -163,9 +162,7 @@ class SolverSupervisor:
         request = AverageRequest(mdp=mdp, reward=reward,
                                  initial_policy=initial_policy,
                                  max_iter=max_iter)
-        chain = (self.average_chain if self.average_chain is not None
-                 else average_chain_for(mdp))
-        outcome = self._run(chain, request)
+        outcome = self._run(self.average_chain, request)
         solution: AverageRewardSolution = outcome.result
         if self.validate_outputs and not np.isfinite(solution.gain):
             raise SolverDivergedError(

@@ -136,21 +136,33 @@ def test_q_backup_bit_identical(cls, other):
 @pytest.mark.parametrize("cls", INSTANCE_CLASSES)
 def test_fused_backups_bit_identical(cls, other):
     mdp, reward = _instance(cls)
-    values = np.random.default_rng(1).normal(size=mdp.n_states)
+    rng = np.random.default_rng(1)
+    values = rng.normal(size=mdp.n_states)
+    states = rng.choice(mdp.n_states, size=max(1, mdp.n_states // 2),
+                        replace=False)
     kernel = mdp.kernel()
     with backends.use_backend("numpy"):
         b0, g0 = backends.active().q_backup_max(kernel, reward, values)
         q0, qb0, qg0 = backends.active().q_backup_greedy(
             kernel, reward, values)
+        s0, sg0 = backends.active().q_backup_states(
+            kernel, reward, values, states)
     with backends.use_backend(other):
         b1, g1 = backends.active().q_backup_max(kernel, reward, values)
         q1, qb1, qg1 = backends.active().q_backup_greedy(
             kernel, reward, values)
+        s1, sg1 = backends.active().q_backup_states(
+            kernel, reward, values, states)
     assert np.array_equal(b0, b1)
     assert np.array_equal(g0, g1)  # argmax tie-break included
     assert np.array_equal(q0, q1)
     assert np.array_equal(qb0, qb1)
     assert np.array_equal(qg0, qg1)
+    # The subset backup is the full backup sliced at ``states``.
+    assert np.array_equal(s0, s1)
+    assert np.array_equal(sg0, sg1)
+    assert np.array_equal(s0, b0[states])
+    assert np.array_equal(sg0, g0[states])
 
 
 @pytest.mark.parametrize("other", DIFF_BACKENDS)

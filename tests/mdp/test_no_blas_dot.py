@@ -17,12 +17,10 @@ PACKAGE = Path(repro.__file__).parent
 BANNED_FUNCTIONS = {"dot", "vdot", "inner"}
 
 #: ``(file, call target)`` pairs allowed to call ``.dot``: sparse
-#: products, which never reach BLAS, and the approximate engine's
-#: aggregated backup (removed with that engine).
+#: products, which never reach BLAS.
 ALLOWED = {
     ("mdp/backends.py", "kernel.stack.dot"),
     ("mdp/backends.py", "kernel.stack[rows].dot"),
-    ("mdp/approx.py", "p_agg[ai].dot"),
 }
 
 

@@ -136,37 +136,6 @@ def test_mc_statistical_check():
     assert cell.tolerance > 0
 
 
-def test_checks_include_approx_engine():
-    assert "approx" in CHECKS
-
-
-@pytest.mark.parametrize(
-    "cls", ["periodic", "near-degenerate", "wide-scale"])
-def test_hard_classes_pass_approx_check(cls):
-    """The approximate engine's certificate must hold on the classes
-    built to break value-style iterations (the periodic cycle is the
-    instance that forces the stability monitor's degradation path)."""
-    cell = run_cell(cls, 1, "approx")
-    assert cell.passed, (cell.error, cell.tolerance, cell.detail)
-
-
-def test_approx_fallback_is_a_failure(monkeypatch):
-    """If the approx check's solve came back without the engine's
-    certificate (e.g. a refactor silently rerouting to an exact
-    solver), the cell must fail rather than score a hollow pass."""
-    import repro.qa.conformance as conf
-    from repro.mdp.policy_iteration import policy_iteration
-
-    def exact_instead(mdp, reward, **kwargs):
-        return policy_iteration(mdp, reward)
-
-    monkeypatch.setattr(conf, "approx_average_reward", exact_instead)
-    cell = run_cell("unichain", 0, "approx")
-    assert not cell.passed
-    assert "fell back" in cell.detail
-    assert np.isinf(cell.error)
-
-
 def test_dinkelbach_fallback_is_a_failure(monkeypatch):
     """If the ratio solver silently switched method, the conformance
     cell must flag it (that misclassification was satellite bug c)."""

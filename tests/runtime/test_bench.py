@@ -18,7 +18,7 @@ from repro.runtime.bench import (
 def test_registry_names_are_stable():
     assert set(BENCHMARKS) == {"attack-build", "attack-solve",
                                "attack-e2e", "reward-rebuild",
-                               "ratio-methods", "approx-scale",
+                               "ratio-methods", "exact-scale",
                                "sim-rollout", "sim-validate",
                                "serve-smoke"}
 
