@@ -30,22 +30,17 @@ and ``qa`` accept
 the span/counter/gauge registry as JSONL to FILE on the way out (see
 :mod:`repro.runtime.telemetry` and docs/observability.md).
 
-``attack``, ``tables``, ``validate``, ``serve``, ``bench`` and ``qa``
-also accept ``--backend {numpy,numba,reference}``, selecting the
-compute backend for the Bellman/rollout hot loops (see
-:mod:`repro.mdp.backends` and docs/performance.md); the choice is
-exported through ``REPRO_BACKEND`` so spawned worker processes inherit
-it.  ``tables``, ``validate``, ``serve`` and ``qa`` accept
-``--scheduler {serial,process,process:N,spec:FILE}``, overriding how
-sweep cells are fanned out (:mod:`repro.runtime.parallel`).
+``tables``, ``validate``, ``serve`` and ``qa`` accept
+``--scheduler {serial,process,process:N}``, overriding how sweep cells
+are fanned out (:mod:`repro.runtime.parallel`).
 
 ``attack``, ``tables``, ``serve``, ``bench`` and ``qa`` accept
 ``--ratio-method
 {dinkelbach,bisection,pto}``, selecting the ratio-objective method for
 every relative-revenue/orphan-rate solve (see
-:mod:`repro.mdp.ratio` and docs/mdp-methods.md); like ``--backend``
-the choice is exported through ``REPRO_RATIO_METHOD`` so spawned
-worker processes inherit it.
+:mod:`repro.mdp.ratio` and docs/mdp-methods.md); the choice is
+exported through ``REPRO_RATIO_METHOD`` so spawned worker processes
+inherit it.
 """
 
 from __future__ import annotations
@@ -272,7 +267,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_pending=args.max_pending,
             default_deadline_s=args.deadline,
             retry=RetryPolicy(max_attempts=args.retries + 1),
-            seed=args.seed, backend=args.backend)
+            seed=args.seed)
         for result in results:
             print(json.dumps(result))
         return 0
@@ -284,8 +279,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_pending=args.max_pending,
             default_deadline_s=args.deadline,
             retry=RetryPolicy(max_attempts=args.retries + 1),
-            seed=args.seed,
-            backend=args.backend)
+            seed=args.seed)
         try:
             if args.requests is not None:
                 objs = _read_request_objs(args.requests)
@@ -446,10 +440,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         argv.extend(["--baseline", args.baseline])
     argv.extend(["--max-regression", str(args.max_regression)])
     argv.extend(["--repeat", str(args.repeat)])
-    if args.backend is not None:
-        argv.extend(["--backend", args.backend])
-    if args.min_speedup is not None:
-        argv.extend(["--min-speedup", str(args.min_speedup)])
     return bench_main(argv)
 
 
@@ -472,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="wall-clock budget in seconds (supervised "
                              "solve with fallback chain)")
     _add_trace_flag(attack)
-    _add_backend_flag(attack)
     _add_ratio_method_flag(attack)
     attack.set_defaults(func=cmd_attack)
 
@@ -486,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="checkpoint directory; an interrupted run "
                              "resumes from it without re-solving")
     _add_trace_flag(tables)
-    _add_backend_flag(tables)
     _add_scheduler_flag(tables)
     _add_ratio_method_flag(tables)
     tables.set_defaults(func=cmd_tables)
@@ -527,7 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "Walker/Vose draws; tables are built "
                                "once and shared across workers)")
     _add_trace_flag(validate)
-    _add_backend_flag(validate)
     _add_scheduler_flag(validate)
     validate.set_defaults(func=cmd_validate)
 
@@ -606,7 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "policy bodies (0 disables body caching)")
     serve.add_argument("--seed", type=int, default=0)
     _add_trace_flag(serve)
-    _add_backend_flag(serve)
     _add_scheduler_flag(serve)
     _add_ratio_method_flag(serve)
     serve.set_defaults(func=cmd_serve)
@@ -653,13 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--max-regression", type=float, default=2.0,
                        metavar="X")
     bench.add_argument("--repeat", type=int, default=1, metavar="N")
-    bench.add_argument("--min-speedup", type=float, default=None,
-                       metavar="X",
-                       help="with a non-numpy --backend: fail unless "
-                            "each benchmark beats the numpy baseline "
-                            "by a factor of X")
     _add_trace_flag(bench)
-    _add_backend_flag(bench)
     _add_ratio_method_flag(bench)
     bench.set_defaults(func=cmd_bench)
 
@@ -680,7 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
     qa.add_argument("--report", default=None, metavar="FILE",
                     help="also write the full cell list as JSON")
     _add_trace_flag(qa)
-    _add_backend_flag(qa)
     _add_scheduler_flag(qa)
     _add_ratio_method_flag(qa)
     qa.set_defaults(func=cmd_qa)
@@ -698,14 +677,6 @@ def _add_trace_flag(sub: argparse.ArgumentParser) -> None:
                           "JSONL to FILE (inspect with 'repro trace')")
 
 
-def _add_backend_flag(sub: argparse.ArgumentParser) -> None:
-    from repro.mdp.backends import BACKEND_NAMES
-    sub.add_argument("--backend", default=None, choices=BACKEND_NAMES,
-                     help="compute backend for the Bellman/rollout "
-                          "kernels ('numba' degrades to numpy with a "
-                          "warning when unavailable)")
-
-
 def _add_ratio_method_flag(sub: argparse.ArgumentParser) -> None:
     from repro.mdp.ratio import RATIO_METHODS
     sub.add_argument("--ratio-method", default=None,
@@ -719,27 +690,20 @@ def _add_ratio_method_flag(sub: argparse.ArgumentParser) -> None:
 def _add_scheduler_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--scheduler", default=None, metavar="SPEC",
                      help="cell execution strategy: 'serial', "
-                          "'process', 'process:N' or 'spec:FILE' "
+                          "'process' or 'process:N' "
                           "(default: a local process pool sized by "
                           "--workers)")
 
 
 def _apply_runtime_flags(args: argparse.Namespace) -> None:
-    """Install the ``--backend`` / ``--scheduler`` selections before
-    dispatching a subcommand.
+    """Install the ``--ratio-method`` / ``--scheduler`` selections
+    before dispatching a subcommand.
 
-    The backend is both selected in-process and exported through
-    ``REPRO_BACKEND`` so worker processes started with the ``spawn``
-    method (which inherit no module globals) resolve to the same
-    choice.
+    The ratio method is both selected in-process and exported through
+    ``REPRO_RATIO_METHOD`` so worker processes started with the
+    ``spawn`` method (which inherit no module globals) resolve to the
+    same choice.
     """
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        import os
-
-        from repro.mdp import backends
-        os.environ[backends.BACKEND_ENV] = backend
-        backends.set_backend(backend)
     ratio_method = getattr(args, "ratio_method", None)
     if ratio_method is not None:
         import os

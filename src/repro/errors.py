@@ -56,8 +56,8 @@ class SolverInputError(SolverError):
 
 
 class SchedulerSpecError(SolverInputError):
-    """A scheduler spec is malformed -- empty or missing ``nodes``,
-    zero/negative/non-numeric slot or worker counts -- and was rejected
+    """A scheduler spec is malformed -- a zero, negative or
+    non-numeric worker count such as ``process:0`` -- and was rejected
     at parse time, before any pool is constructed.  Subclass of
     :class:`SolverInputError` so supervised sweeps treat it as a
     non-retryable caller mistake."""

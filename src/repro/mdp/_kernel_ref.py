@@ -1,19 +1,14 @@
-"""Loop-style reference kernels behind the compiled compute backend.
+"""Loop oracle for the numpy kernels.
 
-Every function here is written in the restricted "array in, array out"
-style that ``numba.njit`` compiles directly: plain Python loops over
-raw CSR arrays, no objects, no dicts, no fancy indexing.  The same
-source serves two backends (see :mod:`repro.mdp.backends`):
+Plain Python loops over raw CSR arrays, one scalar operation at a time,
+restating the vectorized Bellman backup of
+:class:`repro.mdp.kernels.BellmanKernel` and the rollout samplers of
+:mod:`repro.mdp.simulate`.  Nothing in the library calls them: the
+differential tests substitute them for the numpy kernels and require
+byte-for-byte equal results on every qa instance class.
 
-- the ``numba`` backend JIT-compiles these functions on first use
-  (``fastmath`` stays **off** -- bit-identical results are a contract,
-  not a goal);
-- the ``reference`` backend runs them uncompiled, which is what lets
-  the differential test suite prove bit-identity against the vectorized
-  numpy implementations even on machines without numba installed.
-
-Bit-identity holds by construction, not luck: each loop performs the
-same floating-point operations in the same order as its numpy twin.
+Equality holds by construction, not luck: each loop performs the same
+floating-point operations in the same order as its numpy twin.
 
 - ``q_values`` / ``q_backup_max`` / ``q_backup_greedy`` accumulate each
   CSR row dot-product left to right -- exactly the order scipy's
@@ -32,12 +27,6 @@ same floating-point operations in the same order as its numpy twin.
 from __future__ import annotations
 
 import numpy as np
-
-#: Names of the kernels a backend implementation must provide, in the
-#: order :func:`repro.mdp._numba_backend.load_kernels` compiles them.
-KERNEL_NAMES = ("q_values", "q_backup_max", "q_backup_greedy",
-                "q_backup_states", "extract_rows", "advance_cdf",
-                "advance_alias")
 
 
 def q_values(indptr, indices, data, reward, values, discount,

@@ -78,7 +78,6 @@ from scipy.sparse import _sparsetools
 from scipy.sparse import linalg as sla
 
 from repro.errors import MDPError, SolverError
-from repro.mdp import backends
 from repro.runtime.telemetry import counter_add, span
 
 #: Per-policy memo size for (reward -> gain/bias) results; Dinkelbach
@@ -111,11 +110,17 @@ class BellmanKernel:
         ``q[a, s] = reward[a, s] + discount * P_a[s] . values`` with
         unavailable (state, action) pairs masked to ``-inf``.
 
-        Dispatches through the active compute backend
-        (:mod:`repro.mdp.backends`); every backend is bit-identical.
+        One stack matvec, then discount, reward add and mask in that
+        order -- the operation order :mod:`repro.mdp._kernel_ref`
+        reproduces loop by loop.
         """
-        return backends.active().q_backup(self, reward, values,
-                                          discount)
+        q = self.stack.dot(values).reshape(self.n_actions, self.n_states)
+        if discount != 1.0:
+            q *= discount
+        q += reward
+        if not self._all_available:
+            q[~self.available] = -np.inf
+        return q
 
     def policy_rows(self, policy: np.ndarray) -> np.ndarray:
         """Stack row indices selected by ``policy`` (one per state)."""
@@ -129,10 +134,8 @@ class BellmanKernel:
 
     def policy_matrix(self, policy: np.ndarray) -> sparse.csr_matrix:
         """The ``(N, N)`` transition matrix induced by ``policy``,
-        extracted by row slicing of the stack (through the active
-        compute backend)."""
-        return backends.active().policy_matrix(
-            self, self.policy_rows(policy))
+        extracted by row slicing of the stack."""
+        return self.stack[self.policy_rows(policy)]
 
 
 def q_backup(mdp, reward: np.ndarray, values: np.ndarray,
@@ -150,51 +153,59 @@ def q_backup(mdp, reward: np.ndarray, values: np.ndarray,
 
 def q_backup_max(mdp, reward: np.ndarray, values: np.ndarray,
                  discount: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
-    """Fused Q-backup returning ``(q.max(axis=0), q.argmax(axis=0))``
-    without materializing ``q`` on compiled backends -- the sweep shape
-    of value-style iterations (VI, RVI, backward induction)."""
-    return backends.active().q_backup_max(mdp.kernel(), reward, values,
-                                          discount)
+    """Q-backup reduced to ``(q.max(axis=0), q.argmax(axis=0))`` -- the
+    sweep shape of value-style iterations (VI, RVI, backward
+    induction)."""
+    q = mdp.kernel().q_values(reward, values, discount)
+    return q.max(axis=0), np.asarray(q.argmax(axis=0), dtype=np.int64)
 
 
 def q_backup_greedy(mdp, reward: np.ndarray, values: np.ndarray,
                     discount: float = 1.0
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fused Q-backup returning ``(q, best, greedy_policy)`` in one
-    kernel pass -- the improvement shape of Howard policy iteration,
-    which also needs the incumbent's action values."""
-    return backends.active().q_backup_greedy(mdp.kernel(), reward,
-                                             values, discount)
+    """Q-backup returning ``(q, best, greedy_policy)`` -- the
+    improvement shape of Howard policy iteration, which also needs the
+    incumbent's action values."""
+    q = mdp.kernel().q_values(reward, values, discount)
+    return q, q.max(axis=0), np.asarray(q.argmax(axis=0), dtype=np.int64)
 
 
 def q_backup_states(mdp, reward: np.ndarray, values: np.ndarray,
                     states: np.ndarray, discount: float = 1.0
                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """Fused Q-backup over a *subset* of states: ``(best, policy)``
-    arrays of length ``len(states)``, bit-identical to slicing
-    :func:`q_backup_max`'s result at ``states``.  No solver calls it;
-    it stays because the ``perfbench`` layer trace still wraps it by
-    name as one of the ``mdp.kernels.backup`` entry points."""
-    return backends.active().q_backup_states(
-        mdp.kernel(), reward, values,
-        np.asarray(states, dtype=np.int64), discount)
+    """Q-backup over a *subset* of states: ``(best, policy)`` arrays of
+    length ``len(states)``, bit-identical to slicing
+    :func:`q_backup_max`'s result at ``states`` (the stack is
+    row-sliced at every (action, state) pair of the subset, then the
+    same dot/discount/add/mask sequence runs).  No solver calls it; it
+    stays because the ``perfbench`` layer trace still wraps it by name
+    as one of the ``mdp.kernels.backup`` entry points."""
+    kernel = mdp.kernel()
+    states = np.asarray(states, dtype=np.int64)
+    rows = (np.arange(kernel.n_actions, dtype=np.int64)[:, None]
+            * kernel.n_states + states).ravel()
+    q = kernel.stack[rows].dot(values).reshape(kernel.n_actions,
+                                               states.size)
+    if discount != 1.0:
+        q *= discount
+    q += reward[:, states]
+    if not kernel._all_available:
+        q[~kernel.available[:, states]] = -np.inf
+    return q.max(axis=0), np.asarray(q.argmax(axis=0), dtype=np.int64)
 
 
 def note_q_backups(count: int) -> None:
     """Flush a solver's locally-accumulated backup count into the
-    ``kernel/q_backups`` counter (and the per-backend detail) once per
-    solve.  Counters stay worker-merge-safe and value-identical to the
-    historical per-call bumps."""
+    ``kernel/q_backups`` counter once per solve.  Counters stay
+    worker-merge-safe and value-identical to the historical per-call
+    bumps."""
     if count:
         counter_add("kernel/q_backups", count)
-        counter_add(f"backend/{backends.active().name}/q_backups",
-                    count)
 
 
 def greedy_policy_from_q(q: np.ndarray) -> np.ndarray:
     """Greedy action indices of a masked ``(A, N)`` Q array (first
-    maximizer on ties -- the tie-break every backend's fused argmax
-    reproduces)."""
+    maximizer on ties, the ``np.argmax`` tie-break)."""
     return np.asarray(q.argmax(axis=0), dtype=int)
 
 

@@ -33,8 +33,8 @@ into the next transformed solve as a :class:`WarmStart`, so successive
 solves start near their fixed point instead of from scratch (counter
 ``solver/ratio/warm_start_hits``).
 
-The process-global default method mirrors the compute-backend
-registry: explicit :func:`set_ratio_method` wins over the
+The process-global default method resolves in a fixed order:
+explicit :func:`set_ratio_method` wins over the
 ``REPRO_RATIO_METHOD`` environment variable, which wins over
 ``"dinkelbach"``.  ``maximize_ratio(method=None)`` resolves through
 :func:`current_ratio_method`, which is how the ``--ratio-method`` CLI
@@ -75,9 +75,8 @@ DEN_FLOOR = 1e-9
 #: Recognized ratio-objective methods, in fallback-chain order.
 RATIO_METHODS = ("dinkelbach", "bisection", "pto")
 
-#: Environment variable naming the default ratio method (same
-#: precedence scheme as ``REPRO_BACKEND``: explicit setter > env >
-#: built-in default).
+#: Environment variable naming the default ratio method (explicit
+#: setter > env > built-in default).
 RATIO_METHOD_ENV = "REPRO_RATIO_METHOD"
 
 _ratio_method: Optional[str] = None

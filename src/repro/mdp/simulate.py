@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.mdp import backends
 from repro.mdp.kernels import dot
 from repro.mdp.model import MDP
 from repro.runtime.telemetry import counter_add, gauge_set, span
@@ -371,25 +370,62 @@ def _note_steps(total_steps: int, elapsed: float) -> None:
         gauge_set("sim/steps_per_s", total_steps / elapsed)
 
 
+def _advance_cdf(tables: PolicyTables, states: np.ndarray,
+                 uniforms: np.ndarray, history: np.ndarray,
+                 m: int) -> np.ndarray:
+    """``"cdf"`` chunk advance: flat ``np.take`` gathers into
+    preallocated buffers (per-step Python overhead bounds throughput,
+    so the loop avoids every avoidable allocation)."""
+    n_traj = states.shape[0]
+    k = tables.width
+    cum = tables.cum_capped
+    cols_flat = tables.cols.reshape(-1)
+    rows = np.empty((n_traj, k), dtype=float)
+    below = np.empty((n_traj, k), dtype=bool)
+    j = np.empty(n_traj, dtype=np.intp)
+    idx = np.empty(n_traj, dtype=np.intp)
+    for i in range(m):
+        history[i] = states
+        np.take(cum, states, axis=0, out=rows)
+        np.less_equal(rows, uniforms[i].reshape(n_traj, 1), out=below)
+        below.sum(axis=1, dtype=np.intp, out=j)
+        np.multiply(states, k, out=idx)
+        np.add(idx, j, out=idx)
+        np.take(cols_flat, idx, out=states)
+    return states
+
+
+def _advance_alias(tables: PolicyTables, states: np.ndarray,
+                   uniforms: np.ndarray, history: np.ndarray,
+                   m: int) -> np.ndarray:
+    """``"alias"`` chunk advance: one uniform per step, its integer
+    part picks the slot and its fractional part is the accept coin."""
+    accept, accept_col, alias_col = tables.alias_tables()
+    for i in range(m):
+        history[i] = states
+        x = uniforms[i] * tables.width
+        j = x.astype(np.intp)
+        frac = x - j
+        take = frac < accept[states, j]
+        states = np.where(take, accept_col[states, j],
+                          alias_col[states, j])
+    return np.asarray(states, dtype=np.intp)
+
+
 def _advance_chunk(tables: PolicyTables, states: np.ndarray,
                    uniforms: np.ndarray, history: np.ndarray,
                    m: int, method: str) -> np.ndarray:
     """Advance all trajectories ``m`` steps, recording pre-transition
     states; returns the (possibly replaced) state buffer.
 
-    Dispatches to the active compute backend
-    (:mod:`repro.mdp.backends`).  Every backend samples identical
-    states given identical uniforms -- chunking and backend choice
-    affect speed only, never the trajectories (tested against repeated
-    :func:`advance_states` calls).
+    Chunking affects speed only, never the trajectories: both samplers
+    draw the same states as repeated :func:`advance_states` calls
+    given the same uniforms.
     """
-    backend = backends.active()
     if method == "cdf":
-        return backend.advance_chunk_cdf(tables, states, uniforms,
-                                         history, m)
+        return _advance_cdf(tables, states, uniforms, history, m)
     if method == "alias":
-        return backend.advance_chunk_alias(tables, states, uniforms,
-                                           history, m)
+        return _advance_alias(tables, states, uniforms, history, m)
     raise SimulationError(
         f"unknown sampling method {method!r}; expected one of {METHODS}")
 

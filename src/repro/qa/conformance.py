@@ -412,11 +412,9 @@ class ConformanceReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        from repro.mdp import backends
         return json.dumps({
             "schema": 1,
             "all_passed": self.all_passed,
-            "backend": backends.current_backend_name(),
             "n_cells": len(self.cells),
             "n_failures": len(self.failures),
             "cells": [cell.as_payload() for cell in self.cells],

@@ -403,9 +403,9 @@ def bench_serve_smoke(fast: bool) -> Dict:
                 near_lat, scan_lat = measure_pair()
                 near_p50, near_p99 = _p50_p99(near_lat)
                 scan_p50, scan_p99 = _p50_p99(scan_lat)
-                speedup = scan_p99 / near_p99 if near_p99 > 0 \
+                index_speedup = scan_p99 / near_p99 if near_p99 > 0 \
                     else float("inf")
-                if speedup >= 10:
+                if index_speedup >= 10:
                     break
         finally:
             if gc_was_enabled:
@@ -417,11 +417,11 @@ def bench_serve_smoke(fast: bool) -> Dict:
                 f"hot query loops (expected 0)")
 
     get_p50, get_p99 = _p50_p99(get_lat)
-    if speedup < 10:
+    if index_speedup < 10:
         raise ReproError(
             f"indexed nearest lost its edge: p99 {near_p99}ms hot vs "
             f"{scan_p99}ms full-scan baseline on {n_entries} entries "
-            f"({speedup:.1f}x, expected >= 10x)")
+            f"({index_speedup:.1f}x, expected >= 10x)")
     return {"wall_time_s": hit_wall,
             "metrics": {"utility": analysis.utility,
                         "n_states": analysis.policy.mdp.n_states,
@@ -439,7 +439,7 @@ def bench_serve_smoke(fast: bool) -> Dict:
                         "nearest_scan_p50_ms": scan_p50,
                         "nearest_scan_p99_ms": scan_p99,
                         "nearest_speedup":
-                            round(min(speedup, 1e6), 1)}}
+                            round(min(index_speedup, 1e6), 1)}}
 
 
 def bench_ratio_methods(fast: bool) -> Dict:
@@ -576,15 +576,8 @@ BENCHMARKS: Dict[str, Callable[[bool], Dict]] = {
 }
 
 
-def bench_filename(name: str, backend: str = "numpy") -> str:
-    """The committed artifact name for one benchmark.
-
-    Non-default compute backends get their own trajectory files
-    (``BENCH_<name>@<backend>.json``) so an accelerated run never
-    overwrites -- or gates against -- the committed numpy baseline.
-    """
-    if backend != "numpy":
-        return f"BENCH_{name}@{backend}.json"
+def bench_filename(name: str) -> str:
+    """The committed artifact name for one benchmark."""
     return f"BENCH_{name}.json"
 
 
@@ -602,17 +595,14 @@ def environment_fingerprint() -> Dict:
             return None
         return getattr(module, "__version__", None)
 
-    from repro.mdp import backends
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "numpy": _version("numpy"),
         "scipy": _version("scipy"),
-        "numba": _version("numba"),
         "machine": platform.machine(),
         "system": platform.system(),
         "cpu_count": os.cpu_count(),
-        "backend": backends.current_backend_name(),
     }
 
 
@@ -659,10 +649,8 @@ def run_benchmark(name: str, fast: bool = False,
     wall = result["wall_time_s"]
     for _ in range(repeat - 1):
         wall = min(wall, BENCHMARKS[name](fast)["wall_time_s"])
-    from repro.mdp import backends
     return {"schema": BENCH_SCHEMA, "name": name, "fast": fast,
             "machine": platform.machine(),
-            "backend": backends.current_backend_name(),
             "environment": environment_fingerprint(),
             "wall_time_s": wall,
             "metrics": result["metrics"],
@@ -676,13 +664,9 @@ def compare_to_baseline(doc: Dict, baseline: Dict,
     Returns human-readable failure strings (empty = pass).  A baseline
     recorded in the other ``fast`` mode is skipped -- the two modes
     solve different state spaces and their wall times are not
-    comparable.  So is a baseline recorded under a different compute
-    backend (``backend`` defaults to ``"numpy"`` for documents that
-    predate the field): each backend gates against its own trajectory.
+    comparable.
     """
     if baseline.get("fast") != doc.get("fast"):
-        return []
-    if baseline.get("backend", "numpy") != doc.get("backend", "numpy"):
         return []
     failures = []
     limit = max_regression * max(baseline["wall_time_s"], WALL_FLOOR_S)
@@ -699,30 +683,6 @@ def compare_to_baseline(doc: Dict, baseline: Dict,
                 f"{doc['name']}: utility {utility!r} drifted from "
                 f"baseline {base_utility!r}")
     return failures
-
-
-def check_speedup(doc: Dict, numpy_doc: Dict,
-                  min_speedup: float) -> List[str]:
-    """Failures of an accelerated run against the numpy trajectory.
-
-    Used with ``--min-speedup``: a compiled backend that fails to beat
-    the committed numpy wall time by the required factor is a
-    regression of the *accelerator* (stale JIT cache, fallback to
-    object mode, ...), even when it passes its own trajectory gate.
-    Sub-floor baselines are skipped -- there is nothing meaningful to
-    speed up below scheduler noise.
-    """
-    if numpy_doc.get("fast") != doc.get("fast"):
-        return []
-    base_wall = numpy_doc["wall_time_s"]
-    if base_wall < WALL_FLOOR_S:
-        return []
-    limit = base_wall / min_speedup
-    if doc["wall_time_s"] > limit:
-        return [f"{doc['name']}: backend {doc.get('backend')!r} wall "
-                f"time {doc['wall_time_s']:.4f}s is not {min_speedup:g}x "
-                f"faster than the numpy baseline ({base_wall:.4f}s)"]
-    return []
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -744,36 +704,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--repeat", type=int, default=1, metavar="N",
                         help="run each benchmark N times, record the "
                              "minimum wall time")
-    from repro.mdp import backends
-    parser.add_argument("--backend", default=None,
-                        choices=backends.BACKEND_NAMES,
-                        help="compute backend to benchmark (results "
-                             "land in BENCH_<name>@<backend>.json for "
-                             "non-numpy backends)")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        metavar="X",
-                        help="with a non-numpy --backend: fail unless "
-                             "each benchmark beats the committed numpy "
-                             "baseline by at least a factor of X")
     args = parser.parse_args(argv)
-    if args.backend is not None:
-        os.environ[backends.BACKEND_ENV] = args.backend
-        backends.set_backend(args.backend)
-    backend = backends.current_backend_name()
     names = args.names or sorted(BENCHMARKS)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     failures: List[str] = []
     for name in names:
         doc = run_benchmark(name, fast=args.fast, repeat=args.repeat)
-        path = out_dir / bench_filename(name, backend)
+        path = out_dir / bench_filename(name)
         atomic_write_text(path, json.dumps(doc, indent=2,
                                            sort_keys=True) + "\n")
         print(f"{name}: {doc['wall_time_s']:.4f}s "
               f"{doc['metrics']} -> {path}")
         if args.baseline is not None:
-            base_path = Path(args.baseline) / bench_filename(name,
-                                                             backend)
+            base_path = Path(args.baseline) / bench_filename(name)
             if base_path.exists():
                 baseline = json.loads(base_path.read_text())
                 failures.extend(compare_to_baseline(
@@ -781,15 +725,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             else:
                 print(f"{name}: no baseline at {base_path}, skipping "
                       "comparison")
-            if args.min_speedup is not None and backend != "numpy":
-                numpy_path = Path(args.baseline) / bench_filename(name)
-                if numpy_path.exists():
-                    numpy_doc = json.loads(numpy_path.read_text())
-                    failures.extend(check_speedup(
-                        doc, numpy_doc, args.min_speedup))
-                else:
-                    print(f"{name}: no numpy baseline at "
-                          f"{numpy_path}, skipping speedup check")
     for failure in failures:
         print(f"REGRESSION: {failure}")
     return 1 if failures else 0

@@ -21,11 +21,10 @@ boundary is exact for both.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import AttackConfig
@@ -70,13 +69,6 @@ class SolveTask:
         optional ``wall_clock`` / ``max_ticks`` running the solve
         under a supervised budget -- how the serving layer propagates
         request deadlines into worker processes).
-    backend:
-        Compute backend (:mod:`repro.mdp.backends`) the solving
-        process should select before touching a kernel, or ``None``
-        to leave the worker's own resolution (environment, then the
-        numpy default) alone.  Not part of the journal ``key``:
-        backends are bit-identical, so a cell solved under one
-        restores under any other.
     """
 
     kind: str
@@ -84,23 +76,6 @@ class SolveTask:
     config: Optional[AttackConfig] = None
     model: Optional[IncentiveModel] = None
     params: Tuple[Tuple[str, object], ...] = field(default=())
-    backend: Optional[str] = None
-
-
-def stamp_backend(tasks: Sequence[SolveTask]) -> List[SolveTask]:
-    """Return ``tasks`` with the parent's active compute backend
-    stamped onto each (where not already set).
-
-    The default numpy backend is not stamped: workers resolve to it on
-    their own, and leaving the field ``None`` keeps task pickles
-    byte-stable for the common case.
-    """
-    from repro.mdp import backends
-    name = backends.current_backend_name()
-    if name == "numpy":
-        return list(tasks)
-    return [task if task.backend is not None
-            else replace(task, backend=name) for task in tasks]
 
 
 def execute_task(task: SolveTask):
@@ -110,11 +85,6 @@ def execute_task(task: SolveTask):
     touch only picklable inputs and return picklable, JSON-encodable
     output (what the journal would store).
     """
-    if task.backend is not None:
-        # Re-selecting the already-requested backend is a no-op, so
-        # per-task stamping costs nothing after the first task.
-        from repro.mdp.backends import set_backend
-        set_backend(task.backend)
     if task.kind == "relative":
         from repro.core.solve import solve_relative_revenue
         return solve_relative_revenue(task.config).utility
@@ -206,11 +176,6 @@ class Scheduler:
     checkpoint semantics, which stay in :func:`run_cells`: the
     scheduler only answers "how many execution slots?" and "what
     executor runs them?".
-
-    Implementations must be constructible in the parent process; their
-    executors receive already backend-stamped tasks (see
-    :func:`stamp_backend`), so backend selection survives the process
-    boundary regardless of start method.
     """
 
     name = "serial"
@@ -259,64 +224,9 @@ class ProcessScheduler(Scheduler):
         return ProcessPoolExecutor(max_workers=slots)
 
 
-class SpecScheduler(ProcessScheduler):
-    """Scheduler described by a JSON spec file -- the seam where a
-    multi-node dispatch layer will plug in.
-
-    The spec is ``{"nodes": [{"host": ..., "slots": ...}, ...]}``.
-    Nodes with host ``"local"``/``"localhost"`` contribute their slots
-    to one local process pool; any other host is rejected with a typed
-    error today (remote dispatch is roadmap work), so a spec written
-    for a future cluster fails loudly instead of silently solving
-    everything on one machine.
-    """
-
-    name = "spec"
-
-    def __init__(self, spec: Dict) -> None:
-        nodes = spec.get("nodes") if isinstance(spec, dict) else None
-        if not nodes:
-            # Parse-time rejection: an empty (or missing) node list
-            # used to flow through as slots=0 and blow up only deep
-            # inside run_cells when the 0-worker pool was built.
-            raise SchedulerSpecError("scheduler spec has no nodes")
-        slots = 0
-        for node in nodes:
-            if not isinstance(node, dict):
-                raise SchedulerSpecError(
-                    f"scheduler spec node must be an object, got "
-                    f"{node!r}")
-            host = node.get("host", "local")
-            if host not in ("local", "localhost"):
-                raise ReproError(
-                    f"scheduler spec names remote host {host!r}; "
-                    "remote dispatch is not implemented yet")
-            try:
-                n = int(node.get("slots", 1))
-            except (TypeError, ValueError):
-                raise SchedulerSpecError(
-                    "scheduler spec node has invalid slots "
-                    f"{node.get('slots')!r}") from None
-            if n < 1:
-                raise SchedulerSpecError(
-                    f"scheduler spec node has invalid slots {n!r}")
-            slots += n
-        super().__init__(slots)
-
-    @classmethod
-    def from_file(cls, path: str) -> "SpecScheduler":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                spec = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ReproError(
-                f"cannot read scheduler spec {path!r}: {exc}") from exc
-        return cls(spec)
-
-
 def make_scheduler(spec: str) -> Scheduler:
     """Build a scheduler from a CLI-style spec string: ``"serial"``,
-    ``"process"``, ``"process:<N>"``, or ``"spec:<path.json>"``."""
+    ``"process"`` or ``"process:<N>"``."""
     if spec == "serial":
         return SerialScheduler()
     if spec == "process":
@@ -334,11 +244,9 @@ def make_scheduler(spec: str) -> Scheduler:
         # propagating a bare ValueError out of ProcessPoolExecutor
         # deep inside run_cells.
         return ProcessScheduler(workers)
-    if spec.startswith("spec:"):
-        return SpecScheduler.from_file(spec.split(":", 1)[1])
     raise ReproError(
-        f"unknown scheduler spec {spec!r}; expected 'serial', "
-        "'process', 'process:<N>' or 'spec:<path.json>'")
+        f"unknown scheduler {spec!r}; expected 'serial', 'process' "
+        "or 'process:<N>'")
 
 
 #: Process-global default used by :func:`run_cells` when no explicit
@@ -456,10 +364,6 @@ def run_cells(tasks: Sequence[SolveTask], runner=None, workers: int = 1,
         telemetry.current_tracer().merge_snapshot(snapshot)
         return payload
 
-    # Stamp the parent's backend onto the outgoing tasks so spawned
-    # workers (which inherit no module globals) select it too.
-    pending = [(i, task) for (i, _), task in
-               zip(pending, stamp_backend([t for _, t in pending]))]
     with scheduler.executor(slots) as pool:
         futures: Dict = {pool.submit(worker_fn, task): (i, task)
                          for i, task in pending}

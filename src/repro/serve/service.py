@@ -176,8 +176,7 @@ class _Inflight:
     waiters: int = 1
 
 
-def default_solve_backend(request: SolveRequest, deadline: Deadline,
-                          backend: Optional[str] = None):
+def default_solve_backend(request: SolveRequest, deadline: Deadline):
     """Solve one request synchronously under the remaining deadline.
 
     Runs in a worker thread (see :meth:`SolverService._attempt`);
@@ -185,15 +184,13 @@ def default_solve_backend(request: SolveRequest, deadline: Deadline,
     so the budget/fallback/validation path is identical to sweep cells
     -- including the typed :class:`~repro.errors.SolveDeadlineError` /
     :class:`~repro.errors.SolverBudgetExceededError` when the
-    cooperative budget expires.  ``backend`` optionally names the
-    compute backend (:mod:`repro.mdp.backends`) the solve selects.
+    cooperative budget expires.
     """
     from repro.runtime.parallel import SolveTask, execute_task
     budget = deadline.budget()  # raises typed error when expired
     task = SolveTask(kind="analyze", key=("serve",),
                      config=request.config, model=request.model,
-                     params=(("wall_clock", budget.wall_clock),),
-                     backend=backend)
+                     params=(("wall_clock", budget.wall_clock),))
     return execute_task(task)
 
 
@@ -234,11 +231,6 @@ class SolverService:
         Injectable monotonic clock (chaos tests skew it).
     seed:
         Seed of the private backoff-jitter RNG.
-    backend:
-        Optional compute-backend name (:mod:`repro.mdp.backends`)
-        forwarded to :func:`default_solve_backend` -- how ``repro
-        serve --backend numba`` reaches the worker-thread solves.
-        Ignored when a custom ``solve_fn`` is supplied.
     """
 
     def __init__(self, atlas: PolicyAtlas,
@@ -251,8 +243,7 @@ class SolverService:
                  degraded_grace_s: float = 5.0,
                  nearest_max_distance: float = float("inf"),
                  clock: Callable[[], float] = time.monotonic,
-                 seed: Optional[int] = None,
-                 backend: Optional[str] = None) -> None:
+                 seed: Optional[int] = None) -> None:
         if max_concurrency < 1:
             raise ReproError(
                 f"max_concurrency must be >= 1, got {max_concurrency!r}")
@@ -262,14 +253,7 @@ class SolverService:
         if default_deadline_s <= 0:
             raise ReproError("default_deadline_s must be positive")
         self.atlas = atlas
-        if solve_fn is not None:
-            self.solve_fn = solve_fn
-        elif backend is not None:
-            import functools
-            self.solve_fn = functools.partial(default_solve_backend,
-                                              backend=backend)
-        else:
-            self.solve_fn = default_solve_backend
+        self.solve_fn = solve_fn or default_solve_backend
         self.max_pending = max_pending
         self.default_deadline_s = default_deadline_s
         self.retry = retry

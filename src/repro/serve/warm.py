@@ -5,7 +5,7 @@
 serving layer: every cell is solved through the shared
 :func:`repro.runtime.parallel.run_cells` machinery -- so the work fans
 out over the configured :class:`~repro.runtime.parallel.Scheduler`,
-honours ``--backend`` / ``--ratio-method``, and checkpoints into a
+honours ``--ratio-method``, and checkpoints into a
 journal under the atlas root -- and lands in the
 :class:`~repro.serve.atlas.PolicyAtlas` as ordinary content-addressed
 entries.

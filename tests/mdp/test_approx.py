@@ -1,15 +1,16 @@
-"""Backend bit-identity of the approximate (asynchronous) backup path.
+"""Bit-identity of the asynchronous (subset) backup path.
 
 Prioritized and asynchronous schemes back up a *subset* of states per
 step through :func:`repro.mdp.kernels.q_backup_states`.  However the
-order of the subsets is chosen, the uncompiled ``reference`` backend
-must reproduce the numpy default byte for byte, as must the
-average-reward solvers that converge on the same chain.
+order of the subsets is chosen, the loop oracle of
+:mod:`repro.mdp._kernel_ref` (the ``loop_kernels`` fixture) must
+reproduce the numpy kernels byte for byte, as must the average-reward
+solvers that converge on the same chain.
 """
 
 import numpy as np
 
-from repro.mdp import backends, kernels
+from repro.mdp import kernels
 from repro.mdp.average_reward import relative_value_iteration
 
 from tests.mdp.helpers import random_unichain_mdp
@@ -31,15 +32,14 @@ def _async_sweeps(mdp, reward, n_sweeps=25):
     return values, policy
 
 
-def test_reference_backend_is_bit_identical():
+def test_reference_backend_is_bit_identical(loop_kernels):
     rng = np.random.default_rng(7)
     mdp = random_unichain_mdp(rng, n_states=9, n_actions=2)
     reward = mdp.combined_reward({"r": 1.0, "s": 0.25})
-    with backends.use_backend("numpy"):
-        v_np, pol_np = _async_sweeps(mdp, reward)
-        sol_np = relative_value_iteration(mdp, reward, epsilon=1e-9)
+    v_np, pol_np = _async_sweeps(mdp, reward)
+    sol_np = relative_value_iteration(mdp, reward, epsilon=1e-9)
     mdp.eval_cache().clear()
-    with backends.use_backend("reference"):
+    with loop_kernels():
         v_ref, pol_ref = _async_sweeps(mdp, reward)
         sol_ref = relative_value_iteration(mdp, reward, epsilon=1e-9)
     assert np.array_equal(v_np, v_ref)

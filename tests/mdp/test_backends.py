@@ -1,37 +1,31 @@
-"""Tests for the pluggable compute backends.
+"""Differential tests: the numpy kernels against their loop oracle.
 
-The load-bearing property is *bit-identity*: every backend must
-produce byte-for-byte the arrays the numpy default produces, on every
-instance class the qa generators cover.  The differential tests below
-run the uncompiled ``reference`` twin of the numba kernels (and the
-jitted ``numba`` backend itself when numba is installed), so the
-compiled code path is proven correct on machines without numba.
+The load-bearing property is *bit-identity*: the plain-loop kernels of
+:mod:`repro.mdp._kernel_ref`, substituted for the numpy ones by the
+``loop_kernels`` fixture, must produce byte-for-byte the arrays the
+numpy kernels produce, on every instance class the qa generators
+cover.  The ``reference`` parameter names that oracle.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
-from repro.errors import ReproError, SolverError
-from repro.mdp import backends
-from repro.mdp._numba_backend import numba_available
+from repro.errors import SolverError
+from repro.mdp import _kernel_ref, kernels, simulate
 from repro.mdp.average_reward import relative_value_iteration
 from repro.mdp.policy_iteration import policy_iteration
-from repro.mdp.simulate import PolicyTables, rollout, rollout_batch
+from repro.mdp.simulate import (
+    PolicyTables,
+    advance_states,
+    rollout,
+    rollout_batch,
+)
 from repro.mdp.value_iteration import value_iteration
 from repro.qa.generators import INSTANCE_CLASSES, make_instance
 from repro.runtime.telemetry import Tracer, use_tracer
 
-#: Backends that must be bit-identical to numpy on this machine.
-DIFF_BACKENDS = ["reference"] + (["numba"] if numba_available() else [])
-
-
-@pytest.fixture(autouse=True)
-def _clean_backend():
-    backends.reset_backend()
-    yield
-    backends.reset_backend()
+#: The oracle each differential test compares numpy against.
+ORACLES = ["reference"]
 
 
 def _instance(cls, seed=3):
@@ -40,99 +34,24 @@ def _instance(cls, seed=3):
     return inst.mdp, reward
 
 
-# -- selection ---------------------------------------------------------
-
-
-def test_numpy_is_the_default():
-    assert backends.current_backend_name() == "numpy"
-    assert not backends.active().compiled
-
-
-def test_set_backend_returns_the_active_backend():
-    backend = backends.set_backend("reference")
-    assert backend is backends.active()
-    assert backends.current_backend_name() == "reference"
-
-
-def test_unknown_backend_raises():
-    with pytest.raises(ReproError, match="unknown backend"):
-        backends.set_backend("cuda")
-
-
-def test_env_var_resolution(monkeypatch):
-    monkeypatch.setenv(backends.BACKEND_ENV, "reference")
-    backends.reset_backend()
-    assert backends.current_backend_name() == "reference"
-
-
-def test_explicit_selection_beats_env(monkeypatch):
-    monkeypatch.setenv(backends.BACKEND_ENV, "reference")
-    backends.reset_backend()
-    backends.set_backend("numpy")
-    assert backends.current_backend_name() == "numpy"
-
-
-def test_unknown_env_value_degrades_with_warning(monkeypatch):
-    monkeypatch.setenv(backends.BACKEND_ENV, "gpu")
-    backends.reset_backend()
-    with pytest.warns(backends.BackendWarning, match="unknown"):
-        assert backends.current_backend_name() == "numpy"
-
-
-def test_available_backends_report():
-    report = backends.available_backends()
-    assert report["numpy"] is True
-    assert report["reference"] is True
-    assert isinstance(report["numba"], bool)
-
-
-def test_use_backend_restores_previous_selection():
-    backends.set_backend("numpy")
-    with backends.use_backend("reference"):
-        assert backends.current_backend_name() == "reference"
-    assert backends.current_backend_name() == "numpy"
-
-
-@pytest.mark.skipif(numba_available(), reason="requires numba absent")
-def test_numba_fallback_warns_once_and_degrades():
-    with pytest.warns(backends.BackendWarning, match="falling back"):
-        backend = backends.set_backend("numba")
-    assert backend.name == "numpy"
-    # Re-requesting the fallen-back name is a silent no-op (workers
-    # re-select per task; they must not re-warn per cell).
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert backends.set_backend("numba").name == "numpy"
-
-
-@pytest.mark.skipif(numba_available(), reason="requires numba absent")
-def test_numba_fallback_counts():
-    with use_tracer(Tracer()) as tracer:
-        with pytest.warns(backends.BackendWarning):
-            backends.set_backend("numba")
-    assert tracer.counters["backend/fallback"] == 1
-    assert tracer.counters["backend/fallback/numba"] == 1
-
-
 # -- bit-identity of the Bellman kernels -------------------------------
 
 
-@pytest.mark.parametrize("other", DIFF_BACKENDS)
+@pytest.mark.parametrize("other", ORACLES)
 @pytest.mark.parametrize("cls", INSTANCE_CLASSES)
-def test_q_backup_bit_identical(cls, other):
+def test_q_backup_bit_identical(cls, other, loop_kernels):
     mdp, reward = _instance(cls)
     values = np.random.default_rng(0).normal(size=mdp.n_states)
     kernel = mdp.kernel()
     for discount in (1.0, 0.93):
-        with backends.use_backend("numpy"):
-            q0 = kernel.q_values(reward, values, discount=discount)
-        with backends.use_backend(other):
+        q0 = kernel.q_values(reward, values, discount=discount)
+        with loop_kernels():
             q1 = kernel.q_values(reward, values, discount=discount)
         assert np.array_equal(q0, q1)
         assert q1.dtype == q0.dtype
 
 
-@pytest.mark.parametrize("other", DIFF_BACKENDS)
+@pytest.mark.parametrize("other", ORACLES)
 @pytest.mark.parametrize("cls", INSTANCE_CLASSES)
 def test_fused_backups_bit_identical(cls, other):
     mdp, reward = _instance(cls)
@@ -140,19 +59,18 @@ def test_fused_backups_bit_identical(cls, other):
     values = rng.normal(size=mdp.n_states)
     states = rng.choice(mdp.n_states, size=max(1, mdp.n_states // 2),
                         replace=False)
-    kernel = mdp.kernel()
-    with backends.use_backend("numpy"):
-        b0, g0 = backends.active().q_backup_max(kernel, reward, values)
-        q0, qb0, qg0 = backends.active().q_backup_greedy(
-            kernel, reward, values)
-        s0, sg0 = backends.active().q_backup_states(
-            kernel, reward, values, states)
-    with backends.use_backend(other):
-        b1, g1 = backends.active().q_backup_max(kernel, reward, values)
-        q1, qb1, qg1 = backends.active().q_backup_greedy(
-            kernel, reward, values)
-        s1, sg1 = backends.active().q_backup_states(
-            kernel, reward, values, states)
+    b0, g0 = kernels.q_backup_max(mdp, reward, values)
+    q0, qb0, qg0 = kernels.q_backup_greedy(mdp, reward, values)
+    s0, sg0 = kernels.q_backup_states(mdp, reward, values, states)
+    stack = mdp.kernel().stack
+    csr = (stack.indptr, stack.indices, stack.data)
+    b1, g1 = _kernel_ref.q_backup_max(*csr, reward, values, 1.0,
+                                      mdp.available)
+    q1, qb1, qg1 = _kernel_ref.q_backup_greedy(*csr, reward, values, 1.0,
+                                               mdp.available)
+    s1, sg1 = _kernel_ref.q_backup_states(
+        *csr, reward, values, np.asarray(states, dtype=np.int64), 1.0,
+        mdp.available)
     assert np.array_equal(b0, b1)
     assert np.array_equal(g0, g1)  # argmax tie-break included
     assert np.array_equal(q0, q1)
@@ -165,15 +83,14 @@ def test_fused_backups_bit_identical(cls, other):
     assert np.array_equal(sg0, g0[states])
 
 
-@pytest.mark.parametrize("other", DIFF_BACKENDS)
+@pytest.mark.parametrize("other", ORACLES)
 @pytest.mark.parametrize("cls", INSTANCE_CLASSES)
-def test_policy_matrix_bit_identical(cls, other):
+def test_policy_matrix_bit_identical(cls, other, loop_kernels):
     mdp, reward = _instance(cls)
     solution = policy_iteration(mdp, reward)
     kernel = mdp.kernel()
-    with backends.use_backend("numpy"):
-        p0 = kernel.policy_matrix(solution.policy)
-    with backends.use_backend(other):
+    p0 = kernel.policy_matrix(solution.policy)
+    with loop_kernels():
         p1 = kernel.policy_matrix(solution.policy)
     assert p0.shape == p1.shape
     assert np.array_equal(p0.indptr, p1.indptr)
@@ -181,16 +98,15 @@ def test_policy_matrix_bit_identical(cls, other):
     assert np.array_equal(p0.data, p1.data)
 
 
-@pytest.mark.parametrize("other", DIFF_BACKENDS)
+@pytest.mark.parametrize("other", ORACLES)
 @pytest.mark.parametrize("cls", INSTANCE_CLASSES)
-def test_solvers_bit_identical_across_backends(cls, other):
+def test_solvers_bit_identical_across_backends(cls, other, loop_kernels):
     mdp, reward = _instance(cls)
-    with backends.use_backend("numpy"):
-        pi0 = policy_iteration(mdp, reward)
-        vi0 = value_iteration(mdp, reward, discount=0.9)
-        rvi0 = relative_value_iteration(mdp, reward, epsilon=1e-6)
+    pi0 = policy_iteration(mdp, reward)
+    vi0 = value_iteration(mdp, reward, discount=0.9)
+    rvi0 = relative_value_iteration(mdp, reward, epsilon=1e-6)
     mdp.eval_cache().clear()
-    with backends.use_backend(other):
+    with loop_kernels():
         pi1 = policy_iteration(mdp, reward)
         vi1 = value_iteration(mdp, reward, discount=0.9)
         rvi1 = relative_value_iteration(mdp, reward, epsilon=1e-6)
@@ -207,15 +123,14 @@ def test_solvers_bit_identical_across_backends(cls, other):
 
 
 @pytest.mark.parametrize("method", ("cdf", "alias"))
-@pytest.mark.parametrize("other", DIFF_BACKENDS)
+@pytest.mark.parametrize("other", ORACLES)
 @pytest.mark.parametrize("cls", INSTANCE_CLASSES)
-def test_rollouts_bit_identical(cls, other, method):
+def test_rollouts_bit_identical(cls, other, method, loop_kernels):
     mdp, reward = _instance(cls, seed=5)
     policy = policy_iteration(mdp, reward).policy
-    with backends.use_backend("numpy"):
-        r0 = rollout_batch(mdp, policy, steps=500, n_traj=4, seed=11,
-                           method=method, chunk=64)
-    with backends.use_backend(other):
+    r0 = rollout_batch(mdp, policy, steps=500, n_traj=4, seed=11,
+                       method=method, chunk=64)
+    with loop_kernels():
         r1 = rollout_batch(mdp, policy, steps=500, n_traj=4, seed=11,
                            method=method, chunk=64)
     assert np.array_equal(r0.visits, r1.visits)
@@ -223,15 +138,16 @@ def test_rollouts_bit_identical(cls, other, method):
         assert np.array_equal(r0.totals[name], r1.totals[name])
 
 
-@pytest.mark.parametrize("other", DIFF_BACKENDS)
-def test_batched_cdf_still_matches_serial(other):
-    """The per-trajectory serial-equality contract survives backend
-    dispatch: batched trajectory b == serial rollout with rngs[b]."""
+@pytest.mark.parametrize("other", ORACLES)
+def test_batched_cdf_still_matches_serial(other, loop_kernels):
+    """The per-trajectory serial-equality contract holds on the loop
+    sampler too: batched trajectory b == serial rollout with
+    rngs[b]."""
     mdp, reward = _instance("unichain", seed=2)
     policy = policy_iteration(mdp, reward).policy
     rngs = [np.random.default_rng(c)
             for c in np.random.SeedSequence(7).spawn(3)]
-    with backends.use_backend(other):
+    with loop_kernels():
         batch = rollout_batch(mdp, policy, steps=400, rngs=rngs,
                               chunk=37)
     rngs = [np.random.default_rng(c)
@@ -241,6 +157,36 @@ def test_batched_cdf_still_matches_serial(other):
         assert np.array_equal(batch.visits[b], one.visits)
         for name, total in one.totals.items():
             assert batch.totals[name][b] == total
+
+
+@pytest.mark.parametrize("cls", INSTANCE_CLASSES)
+def test_cdf_boundary_draws_bit_identical(cls, loop_kernels):
+    """A uniform equal to a cumulative boundary counts that entry
+    (``<= u``) in the numpy sampler, its loop oracle and
+    :func:`advance_states` alike.  Random draws almost never tie, so
+    this walk forces a tie in every state with two or more
+    successors."""
+    mdp, reward = _instance(cls, seed=5)
+    policy = policy_iteration(mdp, reward).policy
+    tables = PolicyTables(mdp, policy)
+    states = np.arange(mdp.n_states, dtype=np.intp)
+    history = np.empty((1, states.size), dtype=np.intp)
+    ties = 0
+    for _ in range(20):
+        first = tables.cum_capped[states, 0]
+        uniforms = np.where(first < 1.0, first, 0.5)[None, :]
+        ties += int((first < 1.0).sum())
+        expected = advance_states(tables, states, uniforms[0])
+        numpy_next = simulate._advance_chunk(tables, states.copy(),
+                                             uniforms, history, 1, "cdf")
+        with loop_kernels():
+            loop_next = simulate._advance_chunk(
+                tables, states.copy(), uniforms, history, 1, "cdf")
+        assert np.array_equal(numpy_next, expected)
+        assert np.array_equal(loop_next, expected)
+        states = expected
+    # Only a deterministic chain (the periodic ring) has nothing to tie.
+    assert ties > 0 or tables.width == 1
 
 
 # -- table shipping ----------------------------------------------------
@@ -274,8 +220,6 @@ def test_q_backup_counter_is_flushed_once_per_solve():
     with use_tracer(Tracer()) as tracer:
         solution = policy_iteration(mdp, reward)
     assert tracer.counters["kernel/q_backups"] == solution.iterations
-    assert tracer.counters["backend/numpy/q_backups"] == \
-        solution.iterations
     with use_tracer(Tracer()) as tracer:
         rvi = relative_value_iteration(mdp, reward, epsilon=1e-6)
     assert tracer.counters["kernel/q_backups"] == rvi.iterations

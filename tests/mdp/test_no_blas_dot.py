@@ -19,8 +19,8 @@ BANNED_FUNCTIONS = {"dot", "vdot", "inner"}
 #: ``(file, call target)`` pairs allowed to call ``.dot``: sparse
 #: products, which never reach BLAS.
 ALLOWED = {
-    ("mdp/backends.py", "kernel.stack.dot"),
-    ("mdp/backends.py", "kernel.stack[rows].dot"),
+    ("mdp/kernels.py", "self.stack.dot"),
+    ("mdp/kernels.py", "kernel.stack[rows].dot"),
 }
 
 

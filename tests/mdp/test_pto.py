@@ -1,11 +1,12 @@
 """Tests for the probabilistically-terminated (PTO) ratio method and
 the process-global ratio-method default."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.errors import SolverError, SolverInputError
-from repro.mdp.backends import use_backend
 from repro.mdp.builder import MDPBuilder
 from repro.mdp.pto import solve_pto
 from repro.mdp.ratio import (
@@ -191,15 +192,18 @@ def test_warm_start_is_value_identical_to_cold(method):
 # -- differential conformance ------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["numpy", "reference"])
+@pytest.mark.parametrize("kernels", ["numpy", "reference"])
 @pytest.mark.parametrize("cls", INSTANCE_CLASSES)
-def test_methods_agree_with_exact_reference(cls, backend):
+def test_methods_agree_with_exact_reference(cls, kernels, loop_kernels):
     """pto == dinkelbach == bisection == exact rational reference on
-    every generator class, under both compute backends."""
+    every generator class, on the numpy kernels and on their loop
+    oracle (``reference``)."""
     inst = make_instance(cls, 0)
     exact = float(exact_ratio(inst.mdp, inst.num, inst.den).value)
     hi = 2.0 * abs(exact) + 1.0
-    with use_backend(backend):
+    substitute = loop_kernels if kernels == "reference" \
+        else contextlib.nullcontext
+    with substitute():
         sols = {m: maximize_ratio(inst.mdp, inst.num, inst.den,
                                   lo=-hi, hi=hi, tol=1e-9, method=m)
                 for m in ("dinkelbach", "bisection", "pto")}

@@ -202,14 +202,13 @@ def test_sweep_parallel_matches_serial():
                                                  abs=1e-12)
 
 
-# -- schedulers and backend propagation --------------------------------
+# -- schedulers ---------------------------------------------------------
 
 
-def test_make_scheduler_parses_specs(tmp_path):
+def test_make_scheduler_parses_specs():
     from repro.runtime.parallel import (
         ProcessScheduler,
         SerialScheduler,
-        SpecScheduler,
         make_scheduler,
     )
     assert isinstance(make_scheduler("serial"), SerialScheduler)
@@ -218,29 +217,19 @@ def test_make_scheduler_parses_specs(tmp_path):
     assert process.slots(5) == 5  # defers to the call site
     pinned = make_scheduler("process:3")
     assert pinned.slots(5) == 3
-    spec = tmp_path / "cluster.json"
-    spec.write_text('{"nodes": [{"host": "local", "slots": 2},'
-                    ' {"host": "localhost", "slots": 3}]}')
-    sched = make_scheduler(f"spec:{spec}")
-    assert isinstance(sched, SpecScheduler)
-    assert sched.slots(1) == 5
 
 
-def test_make_scheduler_rejects_bad_specs(tmp_path):
-    from repro.runtime.parallel import SpecScheduler, make_scheduler
+def test_make_scheduler_rejects_bad_specs():
+    from repro.runtime.parallel import make_scheduler
     with pytest.raises(ReproError, match="unknown scheduler"):
         make_scheduler("threads")
     with pytest.raises(ReproError, match="worker count"):
         make_scheduler("process:many")
-    with pytest.raises(ReproError, match="cannot read"):
-        make_scheduler(f"spec:{tmp_path / 'missing.json'}")
-    with pytest.raises(ReproError, match="remote host"):
-        SpecScheduler({"nodes": [{"host": "rack-7", "slots": 4}]})
-    with pytest.raises(ReproError, match="no nodes"):
-        SpecScheduler({"nodes": []})
+    with pytest.raises(ReproError, match="unknown scheduler"):
+        make_scheduler("spec:x.json")
 
 
-def test_scheduler_spec_errors_are_typed_and_parse_time(tmp_path):
+def test_scheduler_spec_errors_are_typed_and_parse_time():
     """Regression: degenerate specs used to flow through as a 0-worker
     pool and blow up only deep inside ``run_cells`` when the process
     pool was built.  They must be rejected at parse/construction time
@@ -248,32 +237,8 @@ def test_scheduler_spec_errors_are_typed_and_parse_time(tmp_path):
     :class:`SolverInputError`/:class:`ReproError`, so existing
     handlers keep working)."""
     from repro.errors import SchedulerSpecError, SolverInputError
-    from repro.runtime.parallel import (
-        ProcessScheduler,
-        SpecScheduler,
-        make_scheduler,
-    )
+    from repro.runtime.parallel import ProcessScheduler, make_scheduler
     assert issubclass(SchedulerSpecError, SolverInputError)
-
-    # Empty / missing node lists.
-    with pytest.raises(SchedulerSpecError, match="no nodes"):
-        SpecScheduler({"nodes": []})
-    with pytest.raises(SchedulerSpecError, match="no nodes"):
-        SpecScheduler({})
-    with pytest.raises(SchedulerSpecError, match="no nodes"):
-        SpecScheduler("not a mapping")
-
-    # All-zero / negative / non-numeric slot counts.
-    for slots in (0, -3, "many", None):
-        with pytest.raises(SchedulerSpecError, match="invalid slots"):
-            SpecScheduler({"nodes": [{"host": "local",
-                                      "slots": slots}]})
-    with pytest.raises(SchedulerSpecError, match="must be an object"):
-        SpecScheduler({"nodes": ["local"]})
-    spec = tmp_path / "zero.json"
-    spec.write_text('{"nodes": [{"host": "local", "slots": 0}]}')
-    with pytest.raises(SchedulerSpecError, match="invalid slots"):
-        make_scheduler(f"spec:{spec}")
 
     # Degenerate process pools, via the constructor and the spec
     # string.
@@ -310,55 +275,3 @@ def test_default_scheduler_is_used_by_run_cells():
     finally:
         set_default_scheduler(None)
     assert default_scheduler() is None
-
-
-def test_stamp_backend_is_noop_for_numpy():
-    from repro.mdp import backends
-    from repro.runtime.parallel import stamp_backend
-    backends.reset_backend()
-    try:
-        tasks = relative_tasks()
-        assert all(t.backend is None for t in stamp_backend(tasks))
-    finally:
-        backends.reset_backend()
-
-
-def test_stamp_backend_stamps_non_default_backend():
-    from repro.mdp import backends
-    from repro.runtime.parallel import stamp_backend
-    try:
-        backends.set_backend("reference")
-        stamped = stamp_backend(relative_tasks())
-        assert all(t.backend == "reference" for t in stamped)
-        # Keys (journal identity) are untouched.
-        assert [t.key for t in stamped] == \
-            [t.key for t in relative_tasks()]
-    finally:
-        backends.reset_backend()
-
-
-def test_execute_task_selects_the_stamped_backend():
-    from dataclasses import replace
-
-    from repro.mdp import backends
-    task = replace(relative_tasks()[0], backend="reference")
-    try:
-        value = execute_task(task)
-        assert backends.current_backend_name() == "reference"
-        backends.reset_backend()
-        assert value == execute_task(relative_tasks()[0])
-    finally:
-        backends.reset_backend()
-
-
-def test_parallel_results_identical_under_reference_backend():
-    """Backend propagation through worker processes changes nothing
-    about the results (bit-identity, end to end)."""
-    from repro.mdp import backends
-    tasks = relative_tasks()
-    baseline = run_cells(tasks, workers=1)
-    try:
-        backends.set_backend("reference")
-        assert run_cells(tasks, workers=2) == baseline
-    finally:
-        backends.reset_backend()

@@ -190,24 +190,6 @@ def test_unknown_command_rejected():
         main(["frobnicate"])
 
 
-def test_attack_backend_flag(capsys, monkeypatch):
-    from repro.mdp import backends
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    try:
-        code = main(["attack", "--alpha", "0.3", "--ratio", "1:1",
-                     "--setting", "2", "--ad", "2",
-                     "--backend", "reference"])
-        assert code == 0
-        assert backends.current_backend_name() == "reference"
-        import os
-        assert os.environ["REPRO_BACKEND"] == "reference"
-    finally:
-        backends.reset_backend()
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    out = capsys.readouterr().out
-    assert "optimal utility" in out
-
-
 def test_validate_method_and_scheduler_flags(capsys):
     from repro.runtime.parallel import (
         default_scheduler,
