@@ -178,10 +178,15 @@ class BUValidity(ValidityRule):
         # A leader at height e is accepted at tip height H iff its burial
         # H - e + 1 reaches AD.  Cutting the chain below a failing leader
         # can un-bury an earlier leader, so walk leaders from the tip
-        # downwards.
+        # downwards.  Leaders are stored in ascending height and
+        # ``height`` only falls, so the first accepted leader ends the
+        # walk: no earlier one can be cut.
         for e in reversed(leaders):
-            if e <= height and e > height - self.ad + 1:
-                height = e - 1
+            if e > height:
+                continue
+            if e <= height - self.ad + 1:
+                break
+            height = e - 1
         return height
 
     def gate_open_at(self, tree: BlockTree, tip: Block) -> bool:

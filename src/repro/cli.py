@@ -12,30 +12,26 @@ Commands
 ``race``      per-race statistics of one fork (absorbing-chain exact)
 ``deadline``  price a time-limited attack (finite horizon)
 ``report``    regenerate the paper-vs-measured markdown comparison
-``serve``     answer solve requests from the policy atlas (batch JSON,
-              a JSON-lines TCP front-end or an HTTP front-end; with
-              ``--warm`` precompute the paper grids into the atlas,
-              with ``--processes N`` fan batches over worker
-              processes; see docs/robustness.md)
+``serve``     answer solve requests from the policy atlas (batch JSON
+              or an HTTP front-end; with ``--warm`` precompute the
+              paper grids into the atlas, with ``--processes N`` fan
+              batches over worker processes; see docs/robustness.md)
 ``chaos``     run the network simulation under an injected fault plan,
               or (``--serve``) the solver-service chaos harness
-``bench``     run the pipeline benchmarks, emit BENCH_<name>.json
 ``qa``        run the cross-solver conformance matrix against the
               exact rational reference (see docs/correctness.md)
 ``trace``     summarize a JSONL trace captured with ``--trace``
 
-``attack``, ``tables``, ``validate``, ``serve``, ``chaos``, ``bench``
-and ``qa`` accept
-``--trace FILE``: the run executes with telemetry enabled and writes
-the span/counter/gauge registry as JSONL to FILE on the way out (see
-:mod:`repro.runtime.telemetry` and docs/observability.md).
+``attack``, ``tables``, ``validate``, ``serve``, ``chaos`` and ``qa``
+accept ``--trace FILE``: the run executes with telemetry enabled and
+writes the span/counter/gauge registry as JSONL to FILE on the way out
+(see :mod:`repro.runtime.telemetry` and docs/observability.md).
 
 ``tables``, ``validate``, ``serve`` and ``qa`` accept
 ``--scheduler {serial,process,process:N}``, overriding how sweep cells
 are fanned out (:mod:`repro.runtime.parallel`).
 
-``attack``, ``tables``, ``serve``, ``bench`` and ``qa`` accept
-``--ratio-method
+``attack``, ``tables``, ``serve`` and ``qa`` accept ``--ratio-method
 {dinkelbach,bisection,pto}``, selecting the ratio-objective method for
 every relative-revenue/orphan-rate solve (see
 :mod:`repro.mdp.ratio` and docs/mdp-methods.md); the choice is
@@ -236,7 +232,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         SolverService,
         serve_batch,
         serve_batch_multiprocess,
-        serve_tcp,
     )
 
     atlas = PolicyAtlas(args.atlas, cache_entries=args.cache_entries)
@@ -285,20 +280,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 objs = _read_request_objs(args.requests)
                 for result in await serve_batch(service, objs):
                     print(json.dumps(result))
-            elif args.http is not None:
+            else:
                 from repro.serve.http import serve_http
                 server = await serve_http(service, args.host, args.http)
                 print(f"HTTP front-end on {args.host}:{args.http} "
                       f"(POST /solve, GET /health; atlas: {args.atlas}, "
                       f"{len(atlas)} entries); Ctrl-C to stop",
                       file=sys.stderr)
-                async with server:
-                    await server.serve_forever()
-            else:
-                server = await serve_tcp(service, args.host, args.port)
-                print(f"serving on {args.host}:{args.port} "
-                      f"(atlas: {args.atlas}, {len(atlas)} entries); "
-                      f"Ctrl-C to stop", file=sys.stderr)
                 async with server:
                     await server.serve_forever()
         finally:
@@ -430,19 +418,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.runtime.bench import main as bench_main
-    argv = list(args.names)
-    if args.fast:
-        argv.append("--fast")
-    argv.extend(["--output-dir", args.output_dir])
-    if args.baseline is not None:
-        argv.extend(["--baseline", args.baseline])
-    argv.extend(["--max-regression", str(args.max_regression)])
-    argv.extend(["--repeat", str(args.repeat)])
-    return bench_main(argv)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -555,14 +530,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "demand)")
     serve.add_argument("--requests", default=None, metavar="FILE",
                        help="answer a batch of JSON-lines requests "
-                            "from FILE ('-' for stdin) and exit; "
-                            "omit to run the TCP front-end")
+                            "from FILE ('-' for stdin) and exit")
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8787)
     serve.add_argument("--http", type=int, default=None, metavar="PORT",
-                       help="run the HTTP front-end on PORT instead of "
-                            "the JSON-lines TCP front-end (POST /solve, "
-                            "GET /health)")
+                       help="run the HTTP front-end on PORT (POST "
+                            "/solve, GET /health)")
     serve.add_argument("--warm", nargs="?", const="paper", default=None,
                        choices=_WARM_GRIDS, metavar="GRID",
                        help="precompute a paper parameter grid into "
@@ -625,23 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="--serve: service clock skew (seconds)")
     _add_trace_flag(chaos)
     chaos.set_defaults(func=cmd_chaos)
-
-    bench = sub.add_parser("bench",
-                           help="pipeline benchmarks -> BENCH_*.json")
-    bench.add_argument("names", nargs="*",
-                       help="benchmarks to run (default: all)")
-    bench.add_argument("--fast", action="store_true",
-                       help="shrink the MDPs for a CI smoke run")
-    bench.add_argument("--output-dir", default=".", metavar="DIR")
-    bench.add_argument("--baseline", default=None, metavar="DIR",
-                       help="committed BENCH_*.json directory to gate "
-                            "against")
-    bench.add_argument("--max-regression", type=float, default=2.0,
-                       metavar="X")
-    bench.add_argument("--repeat", type=int, default=1, metavar="N")
-    _add_trace_flag(bench)
-    _add_ratio_method_flag(bench)
-    bench.set_defaults(func=cmd_bench)
 
     qa = sub.add_parser("qa",
                         help="cross-solver conformance vs exact "
@@ -739,6 +694,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if (args.func is cmd_serve and args.requests is None
+            and args.http is None and args.warm is None):
+        parser.error("serve needs one of --requests FILE, --http PORT "
+                     "or --warm [GRID]")
     try:
         return _run_traced(args)
     except ReproError as exc:

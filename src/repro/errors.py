@@ -147,7 +147,7 @@ class ServiceShutdownError(ServeError):
 
 
 class RequestTooLargeError(ServeError):
-    """A front-end request exceeded the configured size limit (the 413
+    """An HTTP request exceeded the configured size limit (the 413
     of this system).  The connection is answered with a typed error
     object -- never silently dropped -- and then closed, because the
     stream position past an oversized frame is unrecoverable."""

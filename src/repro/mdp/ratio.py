@@ -149,8 +149,7 @@ class RatioSolution:
     transformed_solves:
         Number of transformed-problem solves actually paid for:
         average-reward solves for Dinkelbach/bisection, terminated
-        policy evaluations (one per distinct policy) for PTO.  This is
-        the quantity the ``ratio-methods`` benchmark gates.
+        policy evaluations (one per distinct policy) for PTO.
     """
 
     value: float

@@ -547,7 +547,7 @@ def rollout_pooled(mdp: MDP, policy: np.ndarray, steps: int,
     (same seeds => same visit counts); only per-trajectory totals are
     dropped, so memory stays O(``n_states``) and very large batches
     (thousands of trajectories) become practical for pure-throughput
-    work such as the ``sim-rollout`` benchmark.
+    work.
     """
     rngs, tables, first = _batch_args(mdp, policy, steps, n_traj, seed,
                                       rngs, start, chunk, method, tables)

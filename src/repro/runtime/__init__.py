@@ -62,7 +62,7 @@ _EXPORTS = {
 }
 
 _SUBMODULES = frozenset({
-    "bench", "budget", "fallbacks", "faults", "journal", "parallel",
+    "budget", "fallbacks", "faults", "journal", "parallel",
     "supervisor", "sweeprunner", "telemetry",
 })
 

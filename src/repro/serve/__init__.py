@@ -15,8 +15,7 @@ resilience layer in front of the solvers:
   explicit backpressure, deadline propagation with jittered
   exponential-backoff retries, and graceful degradation (flagged
   nearest-neighbor atlas entries or reduced-lookahead solves); plus
-  the JSON-lines TCP front-end and multi-process batch workers
-  sharing one atlas directory;
+  multi-process batch workers sharing one atlas directory;
 - :mod:`repro.serve.http` -- the stdlib/asyncio HTTP front-end
   (``POST /solve``, ``GET /health``) with typed JSON error bodies and
   an error-type -> status mapping (429/503/413/...);
@@ -40,7 +39,6 @@ from repro.serve.service import (
     SolveRequest,
     SolverService,
     serve_batch_multiprocess,
-    serve_tcp,
 )
 from repro.serve.warm import WarmReport, warm_atlas
 
@@ -55,6 +53,5 @@ __all__ = [
     "key_digest",
     "serve_batch_multiprocess",
     "serve_http",
-    "serve_tcp",
     "warm_atlas",
 ]

@@ -115,8 +115,8 @@ class AtlasStats:
     cache_misses: int = 0
     #: Bodies dropped from the LRU cache to respect the bound.
     cache_evictions: int = 0
-    #: Entry files read and validated from disk.  The serve-smoke
-    #: benchmark asserts this stays flat across the hot phase.
+    #: Entry files read and validated from disk.  Hot ``get`` and
+    #: ``nearest`` queries must leave it flat.
     disk_reads: int = 0
 
     def cache_hit_rate(self) -> float:

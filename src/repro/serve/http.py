@@ -11,7 +11,7 @@
   atlas entry count, cache hit-rate/disk-read counters, and the
   service's request/coalesce/degraded stats.
 
-The wire contract matches the TCP front-end: every request gets a
+The wire contract matches the batch front-end: every request gets a
 typed JSON body, never a silently dropped connection.  Status mapping:
 
 ========================  ======
@@ -136,9 +136,9 @@ async def _read_request(reader: asyncio.StreamReader, max_body: int
 
     Returns ``None`` on a clean EOF before a request line.  Raises
     :class:`_BadRequest` with the typed response on malformed framing
-    or an oversized body (the body is then *not* read -- the
-    connection must close, exactly like the TCP front-end's overrun
-    path).
+    or an oversized body (the body is then *not* read, and the
+    connection must close: the stream position past it is
+    unrecoverable).
     """
     try:
         line = await reader.readline()
@@ -202,8 +202,8 @@ async def _read_request(reader: asyncio.StreamReader, max_body: int
 async def serve_http(service: SolverService, host: str, port: int,
                      max_body: int = MAX_REQUEST_BYTES
                      ) -> asyncio.AbstractServer:
-    """Start the HTTP front-end; returns the started server (caller
-    owns its lifetime, like :func:`~repro.serve.service.serve_tcp`)."""
+    """Start the HTTP front-end; returns the started server (the
+    caller owns its lifetime)."""
 
     async def handle(reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:

@@ -54,7 +54,6 @@ from repro.core.deadline import Deadline
 from repro.core.incentives import IncentiveModel
 from repro.errors import (
     ReproError,
-    RequestTooLargeError,
     ServiceOverloadError,
     ServiceShutdownError,
     SolveDeadlineError,
@@ -587,7 +586,7 @@ def request_from_json(obj: Dict) -> SolveRequest:
 
 async def answer_json(service: SolverService, obj: Dict) -> Dict:
     """Answer one JSON request; errors become typed JSON, never an
-    exception (the wire contract of both front-ends)."""
+    exception (the wire contract of the batch and HTTP front-ends)."""
     try:
         response = await service.submit(request_from_json(obj))
     except ReproError as exc:
@@ -609,70 +608,10 @@ async def serve_batch(service: SolverService,
         *(answer_json(service, obj) for obj in requests)))
 
 
-#: Default byte limit on one front-end request frame (a TCP request
-#: line, or an HTTP body in :mod:`repro.serve.http`).  Far above any
-#: legitimate request, far below a memory hazard.
+#: Default byte limit on one HTTP request body
+#: (:mod:`repro.serve.http`).  Far above any legitimate request, far
+#: below a memory hazard.
 MAX_REQUEST_BYTES = 1 << 20
-
-
-async def serve_tcp(service: SolverService, host: str, port: int,
-                    limit: int = MAX_REQUEST_BYTES
-                    ) -> asyncio.AbstractServer:
-    """Start a JSON-lines TCP front-end.
-
-    One request object per line in, one response object per line out;
-    malformed JSON gets an ``{"ok": false}`` response rather than a
-    dropped connection.  Returns the started server (caller owns its
-    lifetime).
-
-    A request line longer than ``limit`` bytes is answered with a
-    typed :class:`~repro.errors.RequestTooLargeError` JSON object and
-    the connection is then closed -- the stream position past an
-    overrun line is unrecoverable, but the "typed error objects, never
-    dropped connections" contract still holds.  (The previous
-    implementation let the StreamReader's default 64 KiB limit raise
-    straight through ``readline()``, dropping the connection with no
-    response at all.)
-    """
-    import json
-
-    async def handle(reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except asyncio.IncompleteReadError as exc:
-                    # EOF mid-line: answer what arrived (defensive --
-                    # readline() normally folds this into a return).
-                    line = exc.partial
-                except (asyncio.LimitOverrunError, ValueError) as exc:
-                    # StreamReader.readline re-raises LimitOverrunError
-                    # as ValueError; either spelling means the line
-                    # exceeded ``limit``.
-                    error = RequestTooLargeError(
-                        f"request line exceeds the {limit}-byte limit; "
-                        f"split or shrink the request")
-                    result = {"ok": False, "error": type(error).__name__,
-                              "message": f"{error} ({exc})"}
-                    writer.write((json.dumps(result) + "\n").encode())
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    result = {"ok": False, "error": "JSONDecodeError",
-                              "message": str(exc)}
-                else:
-                    result = await answer_json(service, obj)
-                writer.write((json.dumps(result) + "\n").encode())
-                await writer.drain()
-        finally:
-            writer.close()
-
-    return await asyncio.start_server(handle, host, port, limit=limit)
 
 
 # -- multi-process workers ---------------------------------------------

@@ -1,5 +1,7 @@
 """Property-based tests of the validity engines."""
 
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from repro.chain.block import make_block
@@ -22,9 +24,11 @@ def build(sizes):
 
 
 def walk_reference(sizes, eb, ad, sticky, gate_window, message_limit=32.0):
-    """O(n^2) oracle: a prefix of length L is valid iff walking it with
-    retroactive gate semantics finds no uncovered, under-buried
-    excessive block and no over-limit block."""
+    """Quadratic oracle: a prefix of length L is valid iff walking it
+    with retroactive gate semantics finds no uncovered, under-buried
+    excessive block and no over-limit block.  Prefixes are tried from
+    the longest down, so a chain whose valid prefix ends near its tip
+    costs a few linear walks."""
     def prefix_valid(upto):
         last_exc = None
         for idx in range(upto):
@@ -40,11 +44,9 @@ def walk_reference(sizes, eb, ad, sticky, gate_window, message_limit=32.0):
                 last_exc = height
         return True
 
-    best = 0
-    for upto in range(len(sizes) + 1):
+    for upto in range(len(sizes), -1, -1):
         if prefix_valid(upto):
-            best = upto
-    return best
+            return upto
 
 
 @given(CHAINS, st.sampled_from([1.0, 2.0]), st.integers(2, 6),
@@ -57,6 +59,31 @@ def test_bu_valid_prefix_matches_walk_oracle(sizes, eb, ad, sticky,
     got = rule.valid_prefix_height(tree, tip)
     expected = walk_reference(sizes, eb, ad, sticky, gate_window)
     assert got == expected
+
+
+def test_bu_valid_prefix_matches_walk_oracle_on_a_long_chain():
+    """A 12k-block chain without the sticky gate (setting 1), so every
+    one of its ~2.4k excessive blocks is a leader, evaluated block by
+    block as a node does.  Its tail holds leader ``a`` and, AD blocks
+    later, an under-buried leader ``b``: cutting ``b`` leaves ``a``
+    buried exactly AD deep, so the walk must accept ``a`` and stop."""
+    ad = 6
+    rng = random.Random(2017)
+    sizes = [2.0 if rng.random() < 0.2 else 1.0 for _ in range(12_000)]
+    a = len(sizes) + 1
+    sizes += [2.0] + [1.0] * (ad - 1) + [2.0, 1.0]
+    rule = BUValidity(eb=1.0, ad=ad, sticky=False)
+    tree = BlockTree()
+    tip = tree.genesis
+    got = {}
+    for s in sizes:
+        tip = tree.add(make_block(tip, size=s, miner="m"))
+        got[tip.height] = rule.valid_prefix_height(tree, tip)
+    assert got[len(sizes)] == a + ad - 1
+    for height in range(1000, len(sizes) + 1, 1000):
+        assert got[height] == walk_reference(sizes[:height], 1.0, ad,
+                                             False, 144)
+    assert got[len(sizes)] == walk_reference(sizes, 1.0, ad, False, 144)
 
 
 @given(CHAINS)

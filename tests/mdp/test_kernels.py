@@ -316,6 +316,10 @@ def test_renewal_matches_lu_on_attack_cells(config):
     from repro.core.solve import solve_relative_revenue
     mdp = build_attack_mdp(config, cache=False)
     solution = solve_relative_revenue(config, mdp=mdp)
+    # The default solve answers by Dinkelbach over renewal evaluation
+    # only: no silent fallback, no LU on the MDP's own cache.
+    assert solution.solver["method"] == "dinkelbach"
+    assert mdp.eval_cache().stats.lu_fallbacks == 0
     optimal = solution.policy.action_indices
     first = np.asarray(mdp.available.argmax(axis=0), dtype=int)
     reward = mdp.combined_reward({"alice": 1.0, "others": -0.3})

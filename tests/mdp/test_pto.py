@@ -134,6 +134,36 @@ def test_pto_small_scale_denominator():
     assert mdp.actions[sol.policy[0]] == "b"
 
 
+def test_methods_agree_on_the_setting2_attack_cell():
+    """Setting 2, alpha = 25 %, beta:gamma = 1:1, AD = 2: PTO answers
+    as PTO (no silent fallback) without a single transformed
+    average-reward solve, Dinkelbach needs at least one, and all three
+    methods agree on the relative revenue."""
+    from repro.core.attack_mdp import build_attack_mdp
+    from repro.core.config import AttackConfig
+    from repro.core.solve import solve_relative_revenue
+    from repro.runtime.telemetry import Tracer, use_tracer
+
+    config = AttackConfig.from_ratio(0.25, (1, 1), setting=2, ad=2)
+    utility, solves, answered_by = {}, {}, {}
+    for method in ("dinkelbach", "bisection", "pto"):
+        mdp = build_attack_mdp(config, cache=False)
+        with use_tracer(Tracer()) as tracer:
+            analysis = solve_relative_revenue(config, mdp,
+                                              ratio_method=method)
+        utility[method] = analysis.utility
+        answered_by[method] = analysis.solver["method"]
+        solves[method] = tracer.counters.get(
+            "solver/ratio/transformed_solves", 0)
+    assert answered_by["pto"] == "pto"
+    assert solves["pto"] == 0
+    assert solves["dinkelbach"] >= 1
+    reference = utility["dinkelbach"]
+    for method, value in utility.items():
+        assert abs(value - reference) <= 1e-6 * max(1.0, abs(reference)), \
+            f"{method} disagrees with dinkelbach"
+
+
 # -- the process-global method default ---------------------------------
 
 

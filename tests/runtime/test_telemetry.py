@@ -211,25 +211,3 @@ def test_tables_counters_are_worker_count_independent():
     assert parallel == serial
     assert serial["solver/ratio/solves"] == 4  # one per cell
     assert serial["build_cache/misses"] == 4   # distinct configs
-
-
-def test_bench_documents_embed_counters():
-    from repro.runtime.bench import run_benchmark
-    doc = run_benchmark("attack-e2e", fast=True)
-    assert not telemetry.tracing_enabled()  # private tracer removed
-    assert doc["counters"]["solver/ratio/solves"] >= 1
-    assert doc["counters"]["build_cache/misses"] >= 1
-    assert doc["counters"]["solver/pi/iterations"] >= 1
-
-
-def test_bench_reuses_active_tracer():
-    from repro.runtime.bench import run_benchmark
-    tracer = telemetry.enable_tracing()
-    counter_add("solver/pi/iterations", 1000)  # pre-existing total
-    doc = run_benchmark("attack-build", fast=True)
-    # The doc sees only the delta, while the session tracer keeps the
-    # benchmark's increments on top of the pre-existing count.
-    assert doc["counters"]["build_cache/misses"] == 1
-    assert doc["counters"].get("solver/pi/iterations", 0) == 0
-    assert tracer.counters["build_cache/misses"] >= 1
-    assert tracer.counters["solver/pi/iterations"] == 1000

@@ -176,6 +176,17 @@ def test_serve_command_types_bad_requests(capsys, tmp_path):
     assert "ratio" in result["message"]
 
 
+def test_serve_without_a_mode_is_a_usage_error(capsys, tmp_path):
+    atlas = tmp_path / "atlas"
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--atlas", str(atlas)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    for mode in ("--requests", "--http", "--warm"):
+        assert mode in err
+    assert not atlas.exists()
+
+
 def test_chaos_serve_command(capsys, tmp_path):
     code = main(["chaos", "--serve", "--steps", "30",
                  "--atlas", str(tmp_path / "atlas"), "--seed", "3"])
